@@ -269,8 +269,8 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
     if name in ("sproduct", "ltn_p", "ltn_q"):
         if name == "ltn_p":
             p = float(params.get("p", 0.0))
-            if p < 1.0:
-                raise ParamOutOfRangeError(f"ltn_p needs p >= 1, got {params.get('p')!r}")
+            if not (math.isfinite(p) and p >= 1.0):
+                raise ParamOutOfRangeError(f"ltn_p needs a finite p >= 1, got {params.get('p')!r}")
             params = {"p": p}
         elif name == "ltn_q":
             q = float(params.get("q", 0.0))
@@ -289,8 +289,8 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
         )
     if name == "stl_r":
         r = float(params.get("r", 0.0))
-        if not r > 0.0:
-            raise ParamOutOfRangeError(f"stl_r needs r > 0, got {params.get('r')!r}")
+        if not (math.isfinite(r) and r > 0.0):
+            raise ParamOutOfRangeError(f"stl_r needs a finite r > 0, got {params.get('r')!r}")
         return TruthAlgebra(
             name, XREAL, math.inf, -math.inf,
             neg=lambda x: -x,

@@ -19,6 +19,11 @@ class UsageError(EngineError):
     """Command line invoked with an inconsistent set of options."""
 
 
+class NestingTooDeepError(EngineError):
+    """A formula, bind chain or sampler fold nests deeper than the
+    interpreter's recursion limit lets the parser or evaluator follow."""
+
+
 # syntax
 
 class FormulaSyntaxError(EngineError):

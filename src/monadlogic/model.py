@@ -444,6 +444,8 @@ def _load_domain(name: str, spec, monad_kind: str) -> Domain:
         density = spec.get("density")
         if density is None:
             return RealIntervalDomain(lo, hi, None)
+        if not isinstance(density, dict):
+            raise SchemaError(f"sort {name!r}: density must be an object")
         dkind = density.get("kind")
         if dkind == "uniform":
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -461,7 +463,8 @@ def _load_domain(name: str, spec, monad_kind: str) -> Domain:
     raise SchemaError(f"sort {name!r}: unknown domain kind {kind!r}")
 
 
-def _row_key(row_args) -> Tuple[Value, ...]:
+def row_key(row_args) -> Tuple[Value, ...]:
+    """Validate the argument values of a document row as a table key."""
     return tuple(_load_value(a) for a in row_args)
 
 
@@ -496,24 +499,31 @@ def _load_ctable_payload(symbol: str, payload, monad_kind: str):
     return dist
 
 
+def _spec_rows(symbol: str, spec) -> list:
+    rows = spec.get("rows", [])
+    if not isinstance(rows, list):
+        raise SchemaError(f"{symbol!r}: 'rows' must be a list")
+    return rows
+
+
 def _load_table(symbol: str, spec, n_args: int, omega: bool):
     rows = {}
-    for row in spec.get("rows", []):
+    for row in _spec_rows(symbol, spec):
         if not isinstance(row, list) or len(row) != n_args + 1:
             raise SchemaError(f"{symbol!r}: rows need {n_args} arguments plus a result")
         result = row[-1]
         if omega and not isinstance(result, bool):
             raise SchemaError(f"{symbol!r}: predicate rows must end in a boolean")
-        rows[_row_key(row[:-1])] = _load_value(result)
+        rows[row_key(row[:-1])] = _load_value(result)
     return TableFunc(rows)
 
 
 def _load_ctable(symbol: str, spec, n_args: int, monad_kind: str):
     rows = {}
-    for row in spec.get("rows", []):
+    for row in _spec_rows(symbol, spec):
         if not isinstance(row, list) or len(row) != n_args + 1:
             raise SchemaError(f"{symbol!r}: rows need {n_args} arguments plus a payload")
-        rows[_row_key(row[:-1])] = _load_ctable_payload(symbol, row[-1], monad_kind)
+        rows[row_key(row[:-1])] = _load_ctable_payload(symbol, row[-1], monad_kind)
     return CTable(rows)
 
 
@@ -555,7 +565,10 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
         for name, arity in declared.items():
             if name not in given:
                 raise MissingSymbolError(f"no interpretation for {key[:-1]} {name!r}")
-            out[name] = load_one(name, given[name], arity)
+            spec = given[name]
+            if not isinstance(spec, dict):
+                raise SchemaError(f"{key} entry {name!r} must be an object, not {spec!r}")
+            out[name] = load_one(name, spec, arity)
         return out
 
     def load_func(name, spec, arity):

@@ -14,7 +14,11 @@ The recursion runs once and yields the denotation as a function from
 valuations to truth values (``compile_formula``); evaluation applies it.
 Nothing is compiled away or restructured: the staged function mirrors
 the inductive definition clause by clause, it just avoids re-walking
-the syntax tree on every Monte Carlo draw.
+the syntax tree on every Monte Carlo draw.  The one addition is a memo
+on every quantifier and bind node, keyed on the valuation restricted to
+the node's free variables: the same clause runs, but at most once per
+distinct restriction.  On the bind chains of weighted model counting
+this turns path enumeration into variable elimination.
 
 The four supported pairings are classical (identity monad, boolean
 algebra), logic-of-paradox (non-empty sets, three-valued algebra),
@@ -27,8 +31,9 @@ with the product algebra).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
 from . import effects, model, syntax
 from .algebra import (
@@ -46,6 +51,7 @@ from .errors import (
     CarrierMismatchError,
     FiniteOnlyError,
     KindMismatchError,
+    NestingTooDeepError,
     OpenFormulaError,
 )
 
@@ -172,6 +178,36 @@ def _bool_sampler(c: effects.Sampler) -> effects.Sampler:
     return effects.Sampler(lambda key: _basis_bool(c.sample(key)))
 
 
+_MISSING = object()
+
+
+def _memoized(fn: Callable[[Valuation], object], free: FrozenSet[str]):
+    """Cache a node's denotation on the valuation restricted to ``free``.
+
+    A denotation reads its free variables and nothing else of the
+    valuation, and every monad's value is a pure function of what it reads
+    (a sampler's value is a procedure of its key), so equal restrictions
+    give equal values.  Keys pair each value with its type, which keeps
+    ``True``, ``1`` and ``1.0`` apart.  The table lives in the closure and
+    dies with the compiled denotation.
+    """
+    names = tuple(sorted(free))
+    cache: dict = {}
+
+    def memo_fn(nu):
+        try:
+            values = [nu[name] for name in names]
+        except KeyError as exc:
+            raise OpenFormulaError(f"no value for variable {exc.args[0]!r}") from None
+        key = (*values, *map(type, values))
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = fn(nu)
+        return value
+
+    return memo_fn
+
+
 def compile_formula(
     f: syntax.Formula,
     fw: Framework,
@@ -183,11 +219,14 @@ def compile_formula(
     valuations of its free variables to truth values.
 
     ``budget`` and ``key`` fix the sampled points of continuous-sort
-    quantifiers (sampler framework); exact frameworks ignore them.
+    quantifiers (sampler framework); exact frameworks ignore them.  Each
+    clause returns its denotation together with its free variables, and
+    quantifier and bind nodes are memoized on them (:func:`_memoized`).
     """
     kind = fw.monad_kind
     alg = fw.algebra
     eta = _eta_fn(fw)
+    closed = frozenset()
 
     def comp_term(t: syntax.Term):
         if isinstance(t, syntax.Var):
@@ -199,53 +238,60 @@ def compile_formula(
                 except KeyError:
                     raise OpenFormulaError(f"no value for variable {name!r}") from None
 
-            return var_fn
+            return var_fn, frozenset((name,))
         if isinstance(t, syntax.Lit):
             value = t.value
-            return lambda nu: value
-        arg_fns = tuple(comp_term(a) for a in t.args)
+            return (lambda nu: value), closed
+        arg_fns, free = comp_terms(t.args)
         run = model.compile_function(interp, t.func)
-        return lambda nu: run([fn(nu) for fn in arg_fns])
+        return (lambda nu: run([fn(nu) for fn in arg_fns])), free
+
+    def comp_terms(terms):
+        compiled = [comp_term(a) for a in terms]
+        free = closed.union(*(names for _, names in compiled))
+        return tuple(fn for fn, _ in compiled), free
 
     def comp(f: syntax.Formula, key: Optional[RandomKey]):
         if isinstance(f, syntax.Top):
             top = alg.top
-            return lambda nu: top
+            return (lambda nu: top), closed
         if isinstance(f, syntax.Bot):
             bot = alg.bot
-            return lambda nu: bot
+            return (lambda nu: bot), closed
         if isinstance(f, syntax.Prop):
             value = eta(model.apply_predicate(interp, f.name, ()))
-            return lambda nu: value
+            return (lambda nu: value), closed
         if isinstance(f, syntax.Atom):
-            arg_fns = tuple(comp_term(a) for a in f.args)
+            arg_fns, free = comp_terms(f.args)
             run = model.compile_predicate(interp, f.pred)
-            return lambda nu: eta(run([fn(nu) for fn in arg_fns]))
+            return (lambda nu: eta(run([fn(nu) for fn in arg_fns]))), free
         if isinstance(f, syntax.MProp):
             value = _matom_value(fw, model.apply_computational(interp, f.name, []))
-            return lambda nu: value
+            return (lambda nu: value), closed
         if isinstance(f, syntax.MAtom):
-            arg_fns = tuple(comp_term(a) for a in f.args)
+            arg_fns, free = comp_terms(f.args)
             run = model.compile_computational(interp, f.mpred)
-            return lambda nu: _matom_value(fw, run([fn(nu) for fn in arg_fns]))
+            return (lambda nu: _matom_value(fw, run([fn(nu) for fn in arg_fns]))), free
         if isinstance(f, syntax.Not):
-            body = comp(f.body, key)
+            body, free = comp(f.body, key)
             neg = alg.neg
-            return lambda nu: neg(body(nu))
+            return (lambda nu: neg(body(nu))), free
         if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):
-            left = comp(f.left, key.child(0) if key is not None else None)
-            right = comp(f.right, key.child(1) if key is not None else None)
+            left, left_free = comp(f.left, key.child(0) if key is not None else None)
+            right, right_free = comp(f.right, key.child(1) if key is not None else None)
             op = {
                 syntax.And: alg.conj,
                 syntax.Or: alg.disj,
                 syntax.Implies: alg.implies,
             }[type(f)]
-            return lambda nu: op(left(nu), right(nu))
+            return (lambda nu: op(left(nu), right(nu))), left_free | right_free
         if isinstance(f, (syntax.Forall, syntax.Exists)):
-            return comp_quantifier(f, key)
-        if isinstance(f, syntax.Bind):
-            return comp_bind(f, key)
-        raise TypeError(f"not a formula: {f!r}")
+            fn, free = comp_quantifier(f, key)
+        elif isinstance(f, syntax.Bind):
+            fn, free = comp_bind(f, key)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        return _memoized(fn, free), free
 
     def comp_quantifier(f, key):
         quant = "forall" if isinstance(f, syntax.Forall) else "exists"
@@ -261,20 +307,21 @@ def compile_formula(
             # points are fixed per compilation; each draw of the resulting
             # sampler then draws the body once per point and folds
             elements = tuple((1.0, a) for a in family.values)
-        body = comp(f.body, key.child(1) if key is not None else None)
+        body, body_free = comp(f.body, key.child(1) if key is not None else None)
         var = f.var
 
         def quant_fn(nu):
             pairs = [(w, body({**nu, var: a})) for w, a in elements]
             return aggregate(alg, quant, WeightedFamily.exact(pairs))
 
-        return quant_fn
+        return quant_fn, body_free - {var}
 
     def comp_bind(f, key):
-        arg_fns = tuple(comp_term(a) for a in f.args)
-        body = comp(f.body, key.child(0) if key is not None else None)
+        arg_fns, args_free = comp_terms(f.args)
+        body, body_free = comp(f.body, key.child(0) if key is not None else None)
         var, mfunc = f.var, f.mfunc
         run = model.compile_computational(interp, mfunc)
+        free = args_free | (body_free - {var})
 
         def computation(nu):
             c = run([fn(nu) for fn in arg_fns])
@@ -286,7 +333,7 @@ def compile_formula(
             return c
 
         if kind == effects.IDENTITY:
-            return lambda nu: body({**nu, var: computation(nu).value})
+            return (lambda nu: body({**nu, var: computation(nu).value})), free
         if kind == effects.NONEMPTY_SET:
 
             def lp_fn(nu):
@@ -295,7 +342,7 @@ def compile_formula(
                     members |= body({**nu, var: a}).members
                 return LP3.from_members(members)
 
-            return lp_fn
+            return lp_fn, free
         if kind == effects.DISTRIBUTION:
             stl = alg.name == "stl_r"
 
@@ -306,14 +353,14 @@ def compile_formula(
                 # the expectation is a convex combination; pin fp noise
                 return total if stl else snap01(total)
 
-            return dist_fn
+            return dist_fn, free
 
         def sampler_fn(nu):
             return effects.bind(computation(nu), lambda a: body({**nu, var: a}))
 
-        return sampler_fn
+        return sampler_fn, free
 
-    return comp(f, key)
+    return comp(f, key)[0]
 
 
 def eval_formula(
@@ -340,26 +387,35 @@ def evaluate_sentence(
 
     Sampler-framework runs need ``budget`` and ``seed`` and report an
     estimate with its binomial standard error; the exact frameworks
-    return the truth value directly.
+    return the truth value directly.  Compilation, evaluation and
+    realization recurse along the formula (and, under the sampler, along
+    each quantifier's fold), so nesting beyond the interpreter's
+    recursion limit raises :class:`NestingTooDeepError`.
     """
-    fv = syntax.free_vars(f)
-    if fv:
-        names = ", ".join(name for name, _ in fv)
-        raise OpenFormulaError(f"sentence has free variables: {names}")
+    try:
+        fv = syntax.free_vars(f)
+        if fv:
+            names = ", ".join(name for name, _ in fv)
+            raise OpenFormulaError(f"sentence has free variables: {names}")
 
-    if fw.monad_kind == effects.SAMPLER:
-        if budget is None or seed is None:
-            raise BudgetMissingError("sampler evaluation needs a sample budget and a seed")
-        root = RandomKey(seed)
-        value = eval_formula(f, fw, interp, {}, budget, root.child(1))
-        realized = effects.realize(value, budget, root.child(0))
-        return EvalReport(
-            value=realized.value,
-            monad_kind=fw.monad_kind,
-            algebra=fw.algebra_name,
-            samples=budget,
-            seed=seed,
-            stderr=realized.stderr,
-        )
-    value = eval_formula(f, fw, interp, {}, budget, None)
-    return EvalReport(value=value, monad_kind=fw.monad_kind, algebra=fw.algebra_name)
+        if fw.monad_kind == effects.SAMPLER:
+            if budget is None or seed is None:
+                raise BudgetMissingError("sampler evaluation needs a sample budget and a seed")
+            root = RandomKey(seed)
+            value = eval_formula(f, fw, interp, {}, budget, root.child(1))
+            realized = effects.realize(value, budget, root.child(0))
+            return EvalReport(
+                value=realized.value,
+                monad_kind=fw.monad_kind,
+                algebra=fw.algebra_name,
+                samples=budget,
+                seed=seed,
+                stderr=realized.stderr,
+            )
+        value = eval_formula(f, fw, interp, {}, budget, None)
+        return EvalReport(value=value, monad_kind=fw.monad_kind, algebra=fw.algebra_name)
+    except RecursionError:
+        raise NestingTooDeepError(
+            "formula nests too deeply to evaluate "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -38,6 +39,7 @@ from .errors import (
     ArityMismatchError,
     DuplicateSymbolError,
     FormulaSyntaxError,
+    NestingTooDeepError,
     SortMismatchError,
     UnknownSortError,
     UnknownSymbolError,
@@ -514,7 +516,12 @@ def parse_formula(
     closed by a chain of binds.
     """
     parser = _Parser(text, sig, free or {})
-    out = parser.formula()
+    try:
+        out = parser.formula()
+    except RecursionError:
+        raise NestingTooDeepError(
+            f"formula nests too deeply to parse (recursion limit {sys.getrecursionlimit()})"
+        ) from None
     kind, value, offset = parser._peek()
     if kind != "eof":
         raise FormulaSyntaxError(f"unexpected trailing input at offset {offset}: {value!r}")

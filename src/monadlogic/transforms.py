@@ -9,7 +9,12 @@ under the non-empty-set kind and evaluates three-valued.
 Weighted model counting closes a classical query over network variables
 with a chain of binds ``[x1 := cpd_x1(), x2 := cpd_x2(parents), ...]F``;
 its distributional evaluation equals the explicit sum over variable
-valuations, which ``wmc_bruteforce`` computes independently.
+valuations, which ``wmc_bruteforce`` computes independently.  The
+evaluator memoizes each bind on its free variables, so the chain is
+summed out variable by variable in topological order: the cost is
+exponential only in the frontier width (the most variables any bind's
+continuation still needs), not in the number of variables.
+``wmc_bruteforce`` stays exponential in the number of variables.
 """
 
 from __future__ import annotations
@@ -111,6 +116,8 @@ def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation)
     new_impls = dict(interp.mfuncs)
     seen = {}
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"network vars must be objects, not {entry!r}")
         name, sort = entry.get("name"), entry.get("sort")
         if not isinstance(name, str) or not isinstance(sort, str):
             raise SchemaError("network vars need 'name' and 'sort'")
@@ -118,7 +125,10 @@ def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation)
             raise SchemaError(f"network variable {name!r} declared twice")
         if sort not in sig.sorts:
             raise SchemaError(f"network variable {name!r} has unknown sort {sort!r}")
-        parents = tuple(entry.get("parents", []))
+        parents = entry.get("parents", [])
+        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+            raise SchemaError(f"network variable {name!r}: 'parents' must be a list of names")
+        parents = tuple(parents)
         for p in parents:
             if p not in seen:
                 raise CyclicParentsError(
@@ -130,7 +140,10 @@ def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation)
         parent_sorts = tuple(seen[p] for p in parents)
         new_mfuncs[mfunc] = (parent_sorts, sort)
         table = {}
-        for row in entry.get("rows", []):
+        rows = entry.get("rows", [])
+        if not isinstance(rows, list):
+            raise SchemaError(f"network variable {name!r}: 'rows' must be a list")
+        for row in rows:
             if not isinstance(row, list) or len(row) != len(parents) + 1:
                 raise SchemaError(
                     f"network variable {name!r}: rows need {len(parents)} parent values "
@@ -140,7 +153,7 @@ def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation)
                 dist = effects.Dist((v, p) for v, p in row[-1])
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"network variable {name!r}: bad row: {exc}") from exc
-            table[tuple(row[:-1])] = dist
+            table[model.row_key(row[:-1])] = dist
         new_impls[mfunc] = model.CTable(table)
         seen[name] = sort
         net_vars.append(NetworkVar(name, sort, parents, mfunc))
@@ -205,6 +218,7 @@ def wmc_bruteforce(
     chain uses; the query is evaluated classically (0/1) per valuation.
     """
     classical = semantics.make_framework(effects.IDENTITY, make_algebra("boolean"))
+    query = semantics.compile_formula(formula, classical, interp)
     names = [v.name for v in network.vars]
     domains = [_domain_values(interp, v.sort) for v in network.vars]
 
@@ -225,7 +239,7 @@ def wmc_bruteforce(
         nonlocal total
         if index == len(names):
             w = weight(nu)
-            if w > 0.0 and semantics.eval_formula(formula, classical, interp, nu):
+            if w > 0.0 and query(nu):
                 total += w
             return
         for value in domains[index]:

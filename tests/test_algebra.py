@@ -128,6 +128,25 @@ class TestParams:
         with pytest.raises(ParamOutOfRangeError):
             make_algebra("stl_r", {"r": 0.0})
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("ltn_p", {"p": math.nan}),
+            ("ltn_p", {"p": math.inf}),
+            ("ltn_q", {"q": math.nan}),
+            ("stl_r", {"r": math.inf}),
+            ("stl_r", {"r": math.nan}),
+        ],
+    )
+    def test_parameters_must_be_finite(self, name, params):
+        with pytest.raises(ParamOutOfRangeError):
+            make_algebra(name, params)
+
+    @pytest.mark.parametrize("text", ["ltn:p=nan", "ltn:p=inf", "ltnq:q=nan", "stl:r=inf"])
+    def test_selection_strings_must_be_finite(self, text):
+        with pytest.raises(ParamOutOfRangeError):
+            parse_algebra_string(text)
+
     def test_unknown(self):
         with pytest.raises(UnknownAlgebraError):
             make_algebra("godel")

@@ -299,3 +299,46 @@ def test_malformed_interpretation_is_a_diagnostic(capsys, demo_dir, tmp_path):
     ])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: Schema")
+
+
+class TestNestingTooDeep:
+    """Nesting past the recursion limit ends in one coded error line."""
+
+    def assert_nesting_error(self, code, out, err):
+        assert code == 1 and out == ""
+        assert err.startswith("error: NestingTooDeep: ") and err.count("\n") == 1
+
+    def test_deeply_negated_formula(self, capsys, demo_dir):
+        formula = "!" * 5000 + "top"
+        self.assert_nesting_error(
+            *run(capsys, *eval_args(demo_dir, "mnist", "dist", "product", formula))
+        )
+
+    def test_long_wmc_chain(self, capsys, tmp_path):
+        entries = [{"name": "x1", "sort": "B", "parents": [],
+                    "rows": [[[[1, 0.5], [0, 0.5]]]]}]
+        for i in range(2, 1001):
+            entries.append({
+                "name": f"x{i}", "sort": "B", "parents": [f"x{i - 1}"],
+                "rows": [[0, [[1, 0.2], [0, 0.8]]], [1, [[1, 0.7], [0, 0.3]]]],
+            })
+        sig = tmp_path / "chain.sig.json"
+        interp = tmp_path / "chain.interp.json"
+        sig.write_text(json.dumps({"sorts": ["B"], "preds": {"eq": {"args": ["B", "B"]}}}))
+        interp.write_text(json.dumps({
+            "sorts": {"B": {"kind": "enum", "values": [0, 1]}},
+            "preds": {"eq": {"kind": "builtin", "name": "eq"}},
+            "network": {"vars": entries},
+        }))
+        self.assert_nesting_error(*run(
+            capsys, "wmc", "--sig", str(sig), "--interp", str(interp),
+            "--formula", "eq(x1000, 1)", "--machine",
+        ))
+
+    def test_sampler_quantifier_over_many_interval_points(self, capsys, demo_dir):
+        self.assert_nesting_error(*run(
+            capsys,
+            *eval_args(demo_dir, "weather", "sampler", "product",
+                       "forall x:Num. [t := normal(x, 1)] gt(t, -4)"),
+            "--samples", "500", "--seed", "1", "--machine",
+        ))

@@ -160,6 +160,42 @@ class TestLoading:
                 {"sorts": {"S": {"kind": "enum", "values": [0]}}, "extra": {}}, sig, IDENTITY
             )
 
+    @pytest.mark.parametrize(
+        "section,spec",
+        [
+            ("funcs", 5),
+            ("funcs", ["table"]),
+            ("preds", "builtin"),
+            ("mfuncs", None),
+            ("funcs", {"kind": "table", "rows": 5}),
+            ("mfuncs", {"kind": "ctable", "rows": {"a": 1}}),
+        ],
+    )
+    def test_symbol_spec_must_be_an_object_with_row_list(self, section, spec):
+        sig = parse_signature(json.dumps({
+            "sorts": ["S"],
+            "funcs": {"f": {"args": ["S"], "result": "S"}},
+            "preds": {"p": {"args": ["S"]}},
+            "mfuncs": {"m": {"args": [], "result": "S"}},
+        }))
+        doc = {
+            "sorts": {"S": {"kind": "enum", "values": [0]}},
+            "funcs": {"f": {"kind": "table", "rows": [[0, 0]]}},
+            "preds": {"p": {"kind": "table", "rows": [[0, True]]}},
+            "mfuncs": {"m": {"kind": "ctable", "rows": [[[[0, 1.0]]]]}},
+        }
+        load_interpretation(doc, sig, DISTRIBUTION)
+        name = {"funcs": "f", "preds": "p", "mfuncs": "m"}[section]
+        doc[section] = {name: spec}
+        with pytest.raises(SchemaError):
+            load_interpretation(doc, sig, DISTRIBUTION)
+
+    def test_density_must_be_an_object(self):
+        sig = parse_signature('{"sorts": ["R"]}')
+        doc = {"sorts": {"R": {"kind": "real_interval", "lo": 0, "hi": 1, "density": "uniform"}}}
+        with pytest.raises(SchemaError):
+            load_interpretation(doc, sig, SAMPLER)
+
     def test_weights_validation(self):
         sig = parse_signature('{"sorts": ["S"]}')
         base = {"kind": "enum", "values": ["a", "b"]}

@@ -10,6 +10,7 @@ from monadlogic.errors import (
     ArityMismatchError,
     DuplicateSymbolError,
     FormulaSyntaxError,
+    NestingTooDeepError,
     SortMismatchError,
     UnknownSortError,
     UnknownSymbolError,
@@ -205,6 +206,11 @@ class TestParseFormula:
     def test_trailing_input(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("top top", PROP_SIG)
+
+    def test_deep_nesting_is_a_coded_error(self):
+        for text in ("!" * 5000 + "a", "(" * 3000 + "a" + ")" * 3000):
+            with pytest.raises(NestingTooDeepError):
+                parse_formula(text, PROP_SIG)
 
     def test_free_parameter_environment(self):
         sig = parse_signature(MNIST_SIG)

@@ -29,6 +29,7 @@ from monadlogic.errors import (
     SchemaError,
     UnknownVariableError,
 )
+from monadlogic import semantics
 from monadlogic.syntax import Bind
 
 from helpers import finite_system, interpret, random_network_system
@@ -156,6 +157,28 @@ class TestNetworkLoading:
         with pytest.raises(SchemaError):
             load_network(doc, sig, interp)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("entry", 5),
+            ("parents", "x1"),
+            ("parents", [1]),
+            ("rows", 5),
+            ("rows", [[[0], [[1, 1.0]]], [1, [[1, 1.0]]]]),
+        ],
+    )
+    def test_bad_shapes_rejected(self, demo_doc, demo_text, field, value):
+        sig = parse_signature(demo_text("wmc.sig.json"))
+        doc = json.loads(json.dumps(demo_doc("wmc.interp.json")))
+        doc["network"]["vars"][1]["parents"] = ["x1"]
+        if field == "entry":
+            doc["network"]["vars"][1] = value
+        else:
+            doc["network"]["vars"][1][field] = value
+        interp = load_interpretation(doc, sig, DISTRIBUTION)
+        with pytest.raises(SchemaError):
+            load_network(doc, sig, interp)
+
 
 @pytest.fixture(scope="module")
 def demo_network(demo_doc, demo_text):
@@ -232,6 +255,21 @@ class TestWmc:
         value = evaluate_sentence(built, dist_framework(), interp2).value
         oracle = wmc_bruteforce(network, interp2, f)
         assert abs(value - oracle) <= 1e-9
+
+    def test_bruteforce_compiles_the_query_once(self, demo_network, monkeypatch):
+        network, sig2, interp2 = demo_network
+        calls = []
+        genuine = semantics.compile_formula
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return genuine(*args, **kwargs)
+
+        monkeypatch.setattr(semantics, "compile_formula", counting)
+        f = parse_formula("eq(x1, 1) | eq(x2, 0)", sig2, free=network.free)
+        expected = 0.3 + 0.7 * (1.0 - 0.5)
+        assert abs(wmc_bruteforce(network, interp2, f) - expected) <= 1e-12
+        assert calls == [f]
 
     def test_random_networks_match_bruteforce(self):
         rng = random.Random(2025)

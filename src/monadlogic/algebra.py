@@ -150,11 +150,6 @@ class WeightedFamily:
         """Positive-weight items of an exact family."""
         return tuple((w, v) for w, v in self.pairs if w > 0.0)
 
-    def map_values(self, fn: Callable) -> "WeightedFamily":
-        if self.is_exact:
-            return WeightedFamily("exact", pairs=tuple((w, fn(v)) for w, v in self.pairs))
-        return WeightedFamily("sampled", values=tuple(fn(v) for v in self.values))
-
     def __repr__(self):
         body = self.pairs if self.is_exact else self.values
         return f"WeightedFamily({self.kind}, {body!r})"
@@ -202,12 +197,15 @@ def _smooth_min(pairs: Sequence[Tuple[float, float]], r: float) -> float:
     """Weighted smooth-minimum of extended reals; tends to min as r grows.
 
     Three cases split on the sign of the minimum; +inf entries carry
-    vanishing weight and drop out unless every entry is +inf.
+    vanishing weight and drop out unless every entry is +inf.  NaN is no
+    robustness value, and the minimum scan would skip it, so it is rejected.
     """
     finite_min = math.inf
     for _, v in pairs:
         if v < finite_min:
             finite_min = v
+        elif v != v:
+            raise CarrierMismatchError("nan is not a robustness value (stl_r)")
     m = finite_min
     if m == math.inf:
         return math.inf
@@ -417,16 +415,13 @@ def aggregate(alg: TruthAlgebra, kind: str, fam: WeightedFamily):
     else:
         values = tuple(check_carrier(alg, v) for v in fam.values)
 
-    if alg.carrier in (BOOL, LP3_CARRIER, SAMPLER_CARRIER):
+    if alg.carrier == SAMPLER_CARRIER:
+        raise CarrierMismatchError(
+            "sampler truth values are folded by the evaluator, a batch of draws at a time"
+        )
+    if alg.carrier in (BOOL, LP3_CARRIER):
         if not fam.is_exact:
             raise ExactOnlyError(f"{alg.name} aggregates exact finite families only")
-        if alg.carrier == SAMPLER_CARRIER:
-            # lifted fold; expectation equals the product-family aggregators
-            for w, _ in items:
-                if w != 1.0:
-                    raise CarrierMismatchError(
-                        "sampler-carrier aggregation supports unit weights only"
-                    )
         op = alg.conj if kind == FORALL else alg.disj
         acc = items[0][1]
         for _, v in items[1:]:
@@ -505,51 +500,24 @@ def lift_algebra(base: TruthAlgebra, monad_kind: str) -> TruthAlgebra:
         raise CarrierMismatchError("only the boolean base algebra is lifted")
     embed, extract = _lift_embed(monad_kind)
 
-    if monad_kind == effects.SAMPLER:
-        # same bind-both-arguments semantics, specialized so constant
-        # samplers (the unit image) fold without consuming keys
-        def lifted_unop(op):
-            def run(a):
-                if a.is_const:
-                    return effects.unit(effects.SAMPLER, op(a.const))
-                return effects.Sampler(lambda key: op(a.sample(key)))
+    def lifted_unop(op):
+        def run(a):
+            ca = embed(a)
+            return extract(effects.bind(ca, lambda x: effects.unit(monad_kind, op(x))))
 
-            return run
+        return run
 
-        def lifted_binop(op):
-            def run(a, b):
-                if a.is_const and b.is_const:
-                    return effects.unit(effects.SAMPLER, op(a.const, b.const))
-                return effects.Sampler(
-                    lambda key: op(a.sample(key.child(0)), b.sample(key.child(1)))
+    def lifted_binop(op):
+        def run(a, b):
+            ca, cb = embed(a), embed(b)
+            return extract(
+                effects.bind(
+                    ca,
+                    lambda x: effects.bind(cb, lambda y: effects.unit(monad_kind, op(x, y))),
                 )
+            )
 
-            return run
-
-    else:
-
-        def lifted_unop(op):
-            def run(a):
-                ca = embed(a)
-                return extract(
-                    effects.bind(ca, lambda x: effects.unit(monad_kind, op(x)))
-                )
-
-            return run
-
-        def lifted_binop(op):
-            def run(a, b):
-                ca, cb = embed(a), embed(b)
-                return extract(
-                    effects.bind(
-                        ca,
-                        lambda x: effects.bind(
-                            cb, lambda y: effects.unit(monad_kind, op(x, y))
-                        ),
-                    )
-                )
-
-            return run
+        return run
 
     return TruthAlgebra(
         name=f"lifted_{base.name}_{monad_kind}",

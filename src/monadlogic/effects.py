@@ -14,14 +14,19 @@ holding exactly for the finite kinds and statistically for samplers.
 
 Randomness is never global: every draw is a pure function of a
 :class:`RandomKey`, so sampling is reproducible bit-for-bit given
-``(seed, sample index)`` regardless of evaluation order.
+``(seed, sample index)`` regardless of evaluation order.  Samplers draw a
+batch at a time: a batch is a list of 64-bit key *states*, plain ints
+derived with the same splitmix64 arithmetic as :meth:`RandomKey.child`
+(:func:`child_states`), and a sampler maps it to the list of its draws.
+:func:`realize` feeds ``CHUNK`` draws per batch, so memory stays bounded
+whatever the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, List, Sequence, Union
 
 from .errors import BudgetMissingError, KindMismatchError
 
@@ -39,6 +44,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _DRAW_SALT = 0xD1B54A32D192ED03
 _PROB_EPS = 1e-15
 _SUM_TOL = 1e-9
+_UNIFORM_DENOM = 2.0**64 + 1.0
+
+CHUNK = 1024  # draws per batch in realize
 
 
 def _mix(z: int) -> int:
@@ -65,23 +73,28 @@ class RandomKey:
             child = self.child(index)
             self.path, self._state = child.path, child._state
 
+    @classmethod
+    def from_state(cls, state: int) -> "RandomKey":
+        """The key at a 64-bit state of a batch; its seed and path are unknown."""
+        key = object.__new__(cls)
+        key.seed = key.path = None
+        key._state = state
+        return key
+
+    @property
+    def state(self) -> int:
+        return self._state
+
     def child(self, index: int) -> "RandomKey":
         key = object.__new__(RandomKey)
         key.seed = self.seed
-        key.path = self.path + (index,)
-        # splitmix64 finalizer, inlined for the per-sample hot path
-        z = (self._state + (index + 1) * _GAMMA) & _MASK
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        key._state = z ^ (z >> 31)
+        key.path = None if self.path is None else self.path + (index,)
+        key._state = _mix((self._state + (index + 1) * _GAMMA) & _MASK)
         return key
 
     def uniform(self, index: int = 0) -> float:
         """Deterministic uniform draw in (0, 1), one per (key, index)."""
-        z = (self._state + (index + 1) * _DRAW_SALT) & _MASK
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        return ((z ^ (z >> 31)) + 1.0) / (2.0**64 + 1.0)
+        return (_mix((self._state + (index + 1) * _DRAW_SALT) & _MASK) + 1.0) / _UNIFORM_DENOM
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0, index: int = 0) -> float:
         """Deterministic normal draw via the Box-Muller transform."""
@@ -90,7 +103,54 @@ class RandomKey:
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def __repr__(self) -> str:
+        if self.path is None:
+            return f"RandomKey(state={self._state:#x})"
         return f"RandomKey(seed={self.seed}, path={self.path})"
+
+
+# batch arithmetic over key states; each loop inlines the splitmix64
+# finalizer of _mix, since these are the per-draw hot paths
+
+
+def child_states(states: Sequence[int], index: int) -> List[int]:
+    """The states of ``RandomKey.child(index)`` for every state of a batch."""
+    inc = (index + 1) * _GAMMA
+    out = []
+    append = out.append
+    for s in states:
+        z = (s + inc) & _MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        append(z ^ (z >> 31))
+    return out
+
+
+def draw_states(key: RandomKey, start: int, stop: int) -> List[int]:
+    """The states of ``key.child(i)`` for ``start <= i < stop``."""
+    state = key.state
+    return child_states((state + i * _GAMMA for i in range(start, stop)), 0)
+
+
+def uniforms(states: Sequence[int], index: int = 0) -> List[float]:
+    """``RandomKey.uniform(index)`` at every state of a batch."""
+    inc = (index + 1) * _DRAW_SALT
+    out = []
+    append = out.append
+    for s in states:
+        z = (s + inc) & _MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        append(((z ^ (z >> 31)) + 1.0) / _UNIFORM_DENOM)
+    return out
+
+
+def normals(states: Sequence[int], mu: float, sigma: float) -> List[float]:
+    """``RandomKey.normal(mu, sigma)`` at every state of a batch."""
+    log, sqrt, cos, tau = math.log, math.sqrt, math.cos, 2.0 * math.pi
+    return [
+        mu + sigma * sqrt(-2.0 * log(u1)) * cos(tau * u2)
+        for u1, u2 in zip(uniforms(states, 0), uniforms(states, 1))
+    ]
 
 
 def _type_rank(v: Value) -> int:
@@ -198,17 +258,30 @@ _NO_CONST = object()
 
 
 class Sampler(Computation):
-    """A seeded sampling procedure: a pure function of a RandomKey.
+    """A seeded sampling procedure, drawn a batch of key states at a time.
 
+    ``draw`` maps a list of key states to the list of their draws; each
+    draw is a pure function of its state.  ``Sampler(fn)`` wraps a per-key
+    procedure ``fn(RandomKey)``, and ``sample(key)`` draws a single key.
     Constant samplers (the image of ``unit``) are flagged so ``bind`` may
     apply the left-unit monad law directly instead of consuming keys.
     """
 
     kind = SAMPLER
-    __slots__ = ("fn", "const")
+    __slots__ = ("draw", "const")
 
-    def __init__(self, fn: Callable[[RandomKey], Value] = None, const=_NO_CONST):
-        self.fn = fn
+    def __init__(
+        self,
+        fn: Callable[[RandomKey], Value] = None,
+        const=_NO_CONST,
+        draw: Callable[[Sequence[int]], list] = None,
+    ):
+        if const is not _NO_CONST:
+            draw = lambda states: [const] * len(states)
+        elif fn is not None:
+            from_state = RandomKey.from_state
+            draw = lambda states: [fn(from_state(s)) for s in states]
+        self.draw = draw
         self.const = const
 
     @property
@@ -216,14 +289,12 @@ class Sampler(Computation):
         return self.const is not _NO_CONST
 
     def sample(self, key: RandomKey) -> Value:
-        if self.const is not _NO_CONST:
-            return self.const
-        return self.fn(key)
+        return self.draw((key.state,))[0]
 
     def __repr__(self):
         if self.is_const:
             return f"Sampler(const={self.const!r})"
-        return f"Sampler({self.fn!r})"
+        return f"Sampler({self.draw!r})"
 
 
 _TRUE_SAMPLER: "Sampler"
@@ -260,7 +331,8 @@ def bind(c: Computation, k: Callable[[Value], Computation]) -> Computation:
 
     identity: plain application.  Sets: union of images.  Distributions:
     the two-level marginal, renormalization-checked.  Samplers: draw the
-    outer value with child key 0, run the continuation with child key 1.
+    outer value with child key 0, run the continuation with child key 1;
+    a batch runs ``k`` once per distinct (hashable) outer value.
     """
     if isinstance(c, Pure):
         return _expect_kind(k(c.value), IDENTITY)
@@ -279,16 +351,34 @@ def bind(c: Computation, k: Callable[[Value], Computation]) -> Computation:
         if c.is_const:
             return _expect_kind(k(c.const), SAMPLER)
 
-        def run(key: RandomKey) -> Value:
-            a = c.sample(key.child(0))
-            return _expect_kind(k(a), SAMPLER).sample(key.child(1))
+        def draw(states):
+            groups: dict = {}
+            index = [groups.setdefault((a, type(a)), len(groups))
+                     for a in c.draw(child_states(states, 0))]
+            inner = [_expect_kind(k(a), SAMPLER) for a, _ in groups]
+            return draw_grouped(inner, index, child_states(states, 1))
 
-        return Sampler(run)
+        return Sampler(draw=draw)
     raise KindMismatchError(f"cannot bind {type(c).__name__}")
 
 
 _TRUE_SAMPLER = Sampler(const=True)
 _FALSE_SAMPLER = Sampler(const=False)
+
+
+def draw_grouped(samplers, index, states: Sequence[int]) -> list:
+    """Draw row ``i`` of a batch from ``samplers[index[i]]`` (from the only
+    sampler when ``index`` is None), each sampler once for its rows."""
+    if index is None or len(samplers) == 1:
+        return samplers[0].draw(states)
+    rows = [[] for _ in samplers]
+    for i, g in enumerate(index):
+        rows[g].append(i)
+    out = [None] * len(states)
+    for sampler, idx in zip(samplers, rows):
+        for i, v in zip(idx, sampler.draw([states[i] for i in idx])):
+            out[i] = v
+    return out
 
 
 def _as_bool(v: Value) -> bool:
@@ -318,6 +408,7 @@ def realize(c: Computation, budget: int = None, key: RandomKey = None) -> Realiz
 
     Exact kinds are read directly; samplers are estimated from ``budget``
     draws keyed by (seed, sample index), with a binomial standard error.
+    The draws are made in batches of ``CHUNK`` (:func:`draws`).
     """
     from .algebra import LP3
 
@@ -335,20 +426,24 @@ def realize(c: Computation, budget: int = None, key: RandomKey = None) -> Realiz
                 samples=budget,
                 seed=key.seed if key is not None else None,
             )
-        if budget is None or budget < 1:
-            raise BudgetMissingError("sampler realization needs a sample budget N >= 1")
-        if key is None:
-            raise BudgetMissingError("sampler realization needs a RandomKey")
         hits = 0
-        sample = c.sample
-        child = key.child
-        for i in range(budget):
-            v = sample(child(i))
-            if v is True:
-                hits += 1
-            elif v is not False and _as_bool(v):
-                hits += 1
+        for values in draws(c, budget, key):
+            for v in values:
+                if v is True:
+                    hits += 1
+                elif v is not False and _as_bool(v):
+                    hits += 1
         est = hits / budget
         stderr = math.sqrt(est * (1.0 - est) / budget)
         return Realization(est, stderr=stderr, samples=budget, seed=key.seed)
     raise KindMismatchError(f"cannot realize {type(c).__name__}")
+
+
+def draws(c: Sampler, budget: int, key: RandomKey) -> Iterator[list]:
+    """Draw ``c`` at ``key.child(i)`` for ``i < budget``, ``CHUNK`` at a time."""
+    if budget is None or budget < 1:
+        raise BudgetMissingError("sampler realization needs a sample budget N >= 1")
+    if key is None:
+        raise BudgetMissingError("sampler realization needs a RandomKey")
+    for start in range(0, budget, CHUNK):
+        yield c.draw(draw_states(key, start, min(start + CHUNK, budget)))

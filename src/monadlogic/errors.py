@@ -20,8 +20,8 @@ class UsageError(EngineError):
 
 
 class NestingTooDeepError(EngineError):
-    """A formula, bind chain or sampler fold nests deeper than the
-    interpreter's recursion limit lets the parser or evaluator follow."""
+    """A formula or bind chain nests deeper than the interpreter's
+    recursion limit lets the parser or evaluator follow."""
 
 
 # syntax

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -163,6 +164,15 @@ def _num(name: str, v: Value) -> Union[int, float]:
     return v
 
 
+def _nums(name: str, args):
+    """The arguments of a numeric builtin, each checked as by :func:`_num`."""
+    for a in args:
+        t = type(a)
+        if t is not int and t is not float:
+            _num(name, a)
+    return args
+
+
 def _builtin_div(x, y):
     if y == 0:
         raise DivisionByZeroError("div by zero")
@@ -215,7 +225,7 @@ def compile_function(interp: Interpretation, name: str):
     def builtin_fn(args):
         if len(args) != arity:
             raise EvalTypeError(f"builtin {bname!r} expects {arity} arguments")
-        return fn(*(_num(bname, a) for a in args))
+        return fn(*_nums(bname, args))
 
     return builtin_fn
 
@@ -251,7 +261,7 @@ def compile_predicate(interp: Interpretation, name: str):
     def builtin_fn(args):
         if len(args) != arity:
             raise EvalTypeError(f"builtin {bname!r} expects {arity} arguments")
-        return bool(fn(*(_num(bname, a) for a in args)))
+        return bool(fn(*_nums(bname, args)))
 
     return builtin_fn
 
@@ -270,18 +280,17 @@ def _dist_to_computation(dist: effects.Dist, kind: str) -> effects.Computation:
     if kind == effects.DISTRIBUTION:
         return dist
     if kind == effects.SAMPLER:
-        pairs = dist.pairs
-
-        def draw(key: RandomKey) -> Value:
-            u = key.uniform(0)
-            acc = 0.0
-            for v, p in pairs:
-                acc += p
-                if u < acc:
-                    return v
-            return pairs[-1][0]
-
-        return effects.Sampler(draw)
+        # inverse CDF: the first value whose running mass exceeds the
+        # uniform; the last bound is open, so rounding falls on the last value
+        values = [v for v, _ in dist.pairs]
+        bounds, acc = [], 0.0
+        for _, p in dist.pairs:
+            acc += p
+            bounds.append(acc)
+        bounds[-1] = math.inf
+        return effects.Sampler(
+            draw=lambda states: [values[bisect_right(bounds, u)] for u in effects.uniforms(states)]
+        )
     raise KindMismatchError(f"cannot realize a distribution row under kind {kind!r}")
 
 
@@ -299,19 +308,23 @@ def _builtin_stochastic(name: str, args, kind: str) -> effects.Computation:
             return effects.NESet(support)
         if kind == effects.DISTRIBUTION:
             return effects.Dist(((1, p), (0, 1.0 - p)))
-        return effects.Sampler(lambda key: 1 if key.uniform(0) < p else 0)
+        return effects.Sampler(
+            draw=lambda states: [1 if u < p else 0 for u in effects.uniforms(states)]
+        )
     if kind != effects.SAMPLER:
         raise FiniteOnlyError(f"builtin {name!r} needs the sampler kind")
     if name == "normal":
         mu, sigma = (_num(name, a) for a in args)
         if sigma <= 0:
             raise ParamOutOfRangeError(f"normal needs sigma > 0, got {sigma!r}")
-        return effects.Sampler(lambda key: key.normal(mu, sigma))
+        return effects.Sampler(draw=lambda states: effects.normals(states, mu, sigma))
     if name == "uniform_real":
         lo, hi = (_num(name, a) for a in args)
         if not lo < hi:
             raise ParamOutOfRangeError(f"uniform_real needs lo < hi, got [{lo!r}, {hi!r}]")
-        return effects.Sampler(lambda key: lo + key.uniform(0) * (hi - lo))
+        return effects.Sampler(
+            draw=lambda states: [lo + u * (hi - lo) for u in effects.uniforms(states)]
+        )
     raise MissingSymbolError(f"unknown stochastic builtin {name!r}")
 
 
@@ -346,7 +359,7 @@ def compile_computational(interp: Interpretation, name: str):
 def apply_computational(interp: Interpretation, name: str, args) -> effects.Computation:
     """Evaluate a computational symbol to a computation of the
     interpretation's monad kind.  Samplers are lazy; their randomness is
-    supplied draw by draw."""
+    supplied a batch of key states at a time."""
     return compile_computational(interp, name)(args)
 
 

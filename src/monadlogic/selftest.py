@@ -64,11 +64,10 @@ def dist_close(a: effects.Dist, b: effects.Dist, tol: float = 1e-12) -> bool:
 
 
 def empirical(c: effects.Sampler, n: int, seed: int) -> Dict[object, float]:
-    key = RandomKey(seed)
     counts: Dict[object, int] = {}
-    for i in range(n):
-        v = c.sample(key.child(i))
-        counts[v] = counts.get(v, 0) + 1
+    for values in effects.draws(c, n, RandomKey(seed)):
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
     return {v: k / n for v, k in counts.items()}
 
 

@@ -7,6 +7,7 @@ classical evaluation of Dirac tables).
 
 from __future__ import annotations
 
+import math
 import random
 
 from monadlogic import (
@@ -16,15 +17,19 @@ from monadlogic import (
     Dist,
     EnumDomain,
     Interpretation,
+    RandomKey,
     TableFunc,
 )
-from monadlogic import syntax
+from monadlogic import model, syntax
 from monadlogic.syntax import (
     And,
     Atom,
     Bind,
+    Exists,
     Forall,
     Implies,
+    MAtom,
+    MProp,
     Not,
     Or,
     Signature,
@@ -176,3 +181,133 @@ def random_checked_formula(rng: random.Random, sig: syntax.Signature, depth: int
         return Atom("eqc", (term_colour(env), term_colour(env)))
 
     return formula(depth, set())
+
+
+def random_sampler_formula(rng: random.Random, depth: int = 4, mpreds=()):
+    """A random closed formula over the finite-system signature (sort S,
+    predicates q and r, computational function m) with nested
+    quantifiers, binds and every connective.  ``mpreds`` names unary
+    computational predicates to use as atoms as well; the name ``"mp"``
+    stands for a nullary one."""
+    fresh = iter(f"v{i}" for i in range(10_000))
+
+    def leaf(env):
+        choices = [("pred", p) for p in ("q", "r")] + [("mpred", p) for p in mpreds]
+        kind, name = rng.choice(choices)
+        if kind == "mpred" and name == "mp":
+            return MProp("mp")
+        if not env:
+            return rng.choice((syntax.TOP, syntax.BOT))
+        # prefer the innermost variable, often a bind's draw
+        arg = (Var(env[-1] if rng.random() < 0.6 else rng.choice(env), "S"),)
+        return Atom(name, arg) if kind == "pred" else MAtom(name, arg)
+
+    def formula(depth, env):
+        roll = rng.random()
+        if depth == 0 or roll < 0.15:
+            return leaf(env)
+        if roll < 0.25:
+            return Not(formula(depth - 1, env))
+        if roll < 0.5:
+            shape = rng.choice((And, Or, Implies))
+            return shape(formula(depth - 1, env), formula(depth - 1, env))
+        name = next(fresh)
+        if roll < 0.6 or not env:
+            quant = rng.choice((Forall, Exists))
+            return quant(name, "S", formula(depth - 1, env + [name]))
+        arg = (Var(rng.choice(env), "S"),)
+        return Bind(name, "m", arg, formula(depth - 1, env + [name]))
+
+    quant = rng.choice((Forall, Exists))
+    return quant("x", "S", formula(depth - 1, ["x"]))
+
+
+def _reference_draw(interp, name, args, key: RandomKey):
+    """One draw of a computational symbol at a key, read off the
+    interpretation's rows or builtin parameters."""
+    impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
+    if isinstance(impl, model.BuiltinStoch):
+        if impl.name == "bernoulli":
+            return 1 if key.uniform(0) < args[0] else 0
+        if impl.name == "normal":
+            return key.normal(*args)
+        return args[0] + key.uniform(0) * (args[1] - args[0])
+    pairs = impl.rows[tuple(args)].pairs
+    u, acc = key.uniform(0), 0.0
+    for v, p in pairs:
+        acc += p
+        if u < acc:
+            return v
+    return pairs[-1][0]
+
+
+def _reference_value(f, interp, nu, key: RandomKey, fixed: RandomKey, budget):
+    """The truth value of one draw: ``key`` is the draw's key at this node,
+    ``fixed`` the key that fixes interval-quantifier points."""
+
+    def term(t):
+        if isinstance(t, syntax.Var):
+            return nu[t.name]
+        if isinstance(t, syntax.Lit):
+            return t.value
+        return model.apply_function(interp, t.func, [term(a) for a in t.args])
+
+    if isinstance(f, syntax.Top):
+        return True
+    if isinstance(f, syntax.Bot):
+        return False
+    if isinstance(f, syntax.Prop):
+        return model.apply_predicate(interp, f.name, ())
+    if isinstance(f, syntax.Atom):
+        return model.apply_predicate(interp, f.pred, [term(t) for t in f.args])
+    if isinstance(f, (syntax.MProp, syntax.MAtom)):
+        name, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
+        v = _reference_draw(interp, name, [term(t) for t in args], key)
+        assert v in (0, 1)
+        return bool(v)
+    if isinstance(f, syntax.Not):
+        return not _reference_value(f.body, interp, nu, key, fixed, budget)
+    if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):
+        a = _reference_value(f.left, interp, nu, key.child(0), fixed.child(0), budget)
+        b = _reference_value(f.right, interp, nu, key.child(1), fixed.child(1), budget)
+        if isinstance(f, syntax.And):
+            return a and b
+        if isinstance(f, syntax.Or):
+            return a or b
+        return (not a) or b
+    if isinstance(f, (syntax.Forall, syntax.Exists)):
+        family = model.quantifier_family(interp, f.sort, budget, fixed.child(0))
+        points = [a for _, a in family.items()] if family.is_exact else list(family.values)
+        # a left-nested fold: ((v0 op v1) op v2) ... draws its left operand
+        # at child 0 and its right one at child 1
+        values = []
+        for j, a in enumerate(points):
+            k = key
+            for _ in range(len(points) - 1 - j):
+                k = k.child(0)
+            if j:
+                k = k.child(1)
+            values.append(
+                _reference_value(f.body, interp, {**nu, f.var: a}, k, fixed.child(1), budget)
+            )
+        return all(values) if isinstance(f, syntax.Forall) else any(values)
+    if isinstance(f, syntax.Bind):
+        a = _reference_draw(interp, f.mfunc, [term(t) for t in f.args], key.child(0))
+        body_nu = {**nu, f.var: a}
+        return _reference_value(f.body, interp, body_nu, key.child(1), fixed.child(0), budget)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_estimate(f, interp, budget: int, seed: int):
+    """Per-draw reference for the sampler kind: the estimate and binomial
+    standard error of a closed formula, walking the formula once per
+    draw's RandomKey.  Draw ``i`` is at ``RandomKey(seed).child(0).child(i)``
+    and interval points are fixed at ``RandomKey(seed).child(1)``."""
+    root = RandomKey(seed)
+    draws = root.child(0)
+    hits = sum(
+        _reference_value(f, interp, {}, draws.child(i), root.child(1), budget)
+        for i in range(budget)
+    )
+    est = hits / budget
+    return est, math.sqrt(est * (1.0 - est) / budget)

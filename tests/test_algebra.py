@@ -377,6 +377,15 @@ class TestSmoothMinMax:
         assert alg.disj(math.inf, -math.inf) == math.inf
         assert alg.neg(math.inf) == -math.inf
 
+    @pytest.mark.parametrize("op", ["conj", "disj", "implies"])
+    @pytest.mark.parametrize("other", [1.0, -2.0, math.inf, -math.inf])
+    def test_nan_operands_rejected(self, op, other):
+        # the minimum scan would skip a NaN and return a truth value
+        alg = make_algebra("stl_r", {"r": 2.0})
+        for args in ((math.nan, other), (other, math.nan)):
+            with pytest.raises(CarrierMismatchError):
+                getattr(alg, op)(*args)
+
 
 class TestLift:
     def test_identity_lift_is_boolean(self):

@@ -335,10 +335,23 @@ class TestNestingTooDeep:
             "--formula", "eq(x1000, 1)", "--machine",
         ))
 
-    def test_sampler_quantifier_over_many_interval_points(self, capsys, demo_dir):
-        self.assert_nesting_error(*run(
+
+class TestSamplerFold:
+    """A sampler quantifier folds its items in a loop, not one Python
+    frame per item, so no number of interval points nests too deeply."""
+
+    @pytest.mark.parametrize("points, formula", [
+        (500, "forall x:Num. [t := normal(x, 1)] gt(t, -4)"),
+        (2000, "exists x:Num. [h := bernoulli(0.001)] eq(h, 1)"),
+    ], ids=["500-points", "2000-points"])
+    def test_many_interval_points_give_an_estimate(self, capsys, demo_dir, points, formula):
+        code, out, err = run(
             capsys,
-            *eval_args(demo_dir, "weather", "sampler", "product",
-                       "forall x:Num. [t := normal(x, 1)] gt(t, -4)"),
-            "--samples", "500", "--seed", "1", "--machine",
-        ))
+            *eval_args(demo_dir, "weather", "sampler", "product", formula),
+            "--samples", str(points), "--seed", "1", "--machine",
+        )
+        assert code == 0 and err == ""
+        estimate, stderr, samples, seed = out.split()
+        assert 0.0 < float(estimate.removeprefix("estimate=")) < 1.0
+        assert float(stderr.removeprefix("stderr=")) > 0.0
+        assert (samples, seed) == (f"samples={points}", "seed=1")

@@ -405,6 +405,49 @@ class TestStlFramework:
         assert eval_formula(f, dist("stl_r", {"r": 10.0}), interp, {"x": 2}) == -4.0
 
 
+class TestStlUndefinedValues:
+    """Mass on both +inf and -inf has no expected robustness; NaN must not
+    pass for a truth value."""
+
+    @pytest.fixture()
+    def system(self):
+        sig = Signature(
+            frozenset(("S",)),
+            preds={"p": ("S",)},
+            mpreds={"m": (), "sure": ()},
+            mfuncs={"c": ((), "S")},
+        )
+        interp = Interpretation(
+            kind=DISTRIBUTION,
+            sorts={"S": EnumDomain((0, 1))},
+            preds={"p": TableFunc({(0,): False, (1,): True})},
+            mpreds={
+                "m": CTable({(): Dist(((True, 0.5), (False, 0.5)))}),
+                "sure": CTable({(): Dist(((True, 1.0),))}),
+            },
+            mfuncs={"c": CTable({(): Dist(((0, 0.5), (1, 0.5)))})},
+        )
+        return sig, interp
+
+    @pytest.mark.parametrize("text", ["m", "m & top", "!m | bot", "[y := c()] p(y)",
+                                      "([y := c()] p(y)) -> top"])
+    def test_mixed_infinite_outcomes_are_rejected(self, system, text):
+        sig, interp = system
+        with pytest.raises(CarrierMismatchError, match="undefined"):
+            evaluate_sentence(parse_formula(text, sig), dist("stl_r", {"r": 2.0}), interp)
+
+    def test_crisp_rows_with_one_outcome_stay_infinite(self, system):
+        sig, interp = system
+        fw = dist("stl_r", {"r": 2.0})
+        assert evaluate_sentence(parse_formula("sure", sig), fw, interp).value == math.inf
+        assert evaluate_sentence(parse_formula("sure & top", sig), fw, interp).value == math.inf
+
+    def test_same_formulas_are_defined_under_product(self, system):
+        sig, interp = system
+        for text in ("m", "m & top", "[y := c()] p(y)"):
+            assert evaluate_sentence(parse_formula(text, sig), dist(), interp).value == 0.5
+
+
 class TestKindChecks:
     def test_interp_and_framework_kinds_must_agree_on_computations(self, demo_text):
         sig = parse_signature(demo_text("mnist.sig.json"))

@@ -109,6 +109,9 @@ class LP3(enum.IntEnum):
     __str__ = __repr__
 
 
+_PRIEST_NEG = (LP3.T, LP3.B, LP3.F)  # indexed by F, B, T
+
+
 class WeightedFamily:
     """A family of items to aggregate: exact weighted pairs or a sampled batch.
 
@@ -249,12 +252,13 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             implies=lambda x, y: (not x) or y,
         )
     if name == "priest":
+        # min and max of two members return a member; negation is a lookup
         return TruthAlgebra(
             name, LP3_CARRIER, LP3.T, LP3.F,
-            neg=lambda x: LP3(2 - x),
-            conj=lambda x, y: LP3(min(x, y)),
-            disj=lambda x, y: LP3(max(x, y)),
-            implies=lambda x, y: LP3(max(2 - x, y)),
+            neg=lambda x: _PRIEST_NEG[x],
+            conj=min,
+            disj=max,
+            implies=lambda x, y: max(_PRIEST_NEG[x], y),
         )
     if name == "product":
         return TruthAlgebra(
@@ -356,24 +360,6 @@ def apply_connective(alg: TruthAlgebra, op: str, args: Sequence):
 # aggregation
 
 
-def sampled_log_mean_stats(values: Sequence[float]) -> Tuple[float, float]:
-    """Monte Carlo estimate of exp(E[ln v]) with a delta-method stderr.
-
-    The mean is the plain (Bessel-uncorrected) sample mean of ln v; a zero
-    among the draws collapses the estimate to 0 with an undefined stderr.
-    """
-    n = len(values)
-    logs = []
-    for v in values:
-        if v < _LN_ZERO:
-            return 0.0, math.nan
-        logs.append(math.log(v))
-    mean = sum(logs) / n
-    est = math.exp(mean)
-    var = sum((l - mean) ** 2 for l in logs) / n
-    return est, est * math.sqrt(var / n)
-
-
 def _weighted_product(items, complement: bool) -> float:
     total = 1.0
     for w, v in items:
@@ -406,22 +392,20 @@ def _log_power_forall(items, q: float) -> float:
 
 
 def aggregate(alg: TruthAlgebra, kind: str, fam: WeightedFamily):
-    """Reduce a weighted family of truth values with the algebra's quantifier
-    aggregator (``forall`` or ``exists``)."""
+    """Reduce an exact weighted family of truth values with the algebra's
+    quantifier aggregator (``forall`` or ``exists``).  Sampled families
+    have no aggregator: the evaluator folds sampled points itself."""
     if kind not in (FORALL, EXISTS):
         raise ArityMismatchError(f"unknown aggregation kind {kind!r}")
-    if fam.is_exact:
-        items = tuple((w, check_carrier(alg, v)) for w, v in fam.items())
-    else:
-        values = tuple(check_carrier(alg, v) for v in fam.values)
+    if not fam.is_exact:
+        raise ExactOnlyError(f"{alg.name} aggregates exact finite families only")
+    items = tuple((w, check_carrier(alg, v)) for w, v in fam.items())
 
     if alg.carrier == SAMPLER_CARRIER:
         raise CarrierMismatchError(
             "sampler truth values are folded by the evaluator, a batch of draws at a time"
         )
     if alg.carrier in (BOOL, LP3_CARRIER):
-        if not fam.is_exact:
-            raise ExactOnlyError(f"{alg.name} aggregates exact finite families only")
         op = alg.conj if kind == FORALL else alg.disj
         acc = items[0][1]
         for _, v in items[1:]:
@@ -429,35 +413,25 @@ def aggregate(alg: TruthAlgebra, kind: str, fam: WeightedFamily):
         return acc
 
     if alg.name in ("product", "sproduct") or alg.name.startswith("lifted_"):
-        if fam.is_exact:
-            if kind == FORALL:
-                return _weighted_product(items, complement=False)
-            return 1.0 - _weighted_product(items, complement=True)
         if kind == FORALL:
-            return sampled_log_mean_stats(values)[0]
-        return 1.0 - sampled_log_mean_stats([1.0 - v for v in values])[0]
+            return _weighted_product(items, complement=False)
+        return 1.0 - _weighted_product(items, complement=True)
 
     if alg.name == "ltn_p":
         p = alg.params["p"]
-        items = _normalized(items) if fam.is_exact else tuple(
-            (1.0 / len(values), v) for v in values
-        )
+        items = _normalized(items)
         if kind == EXISTS:
             return snap01(_pmean(items, p))
         return snap01(1.0 - _pmean(tuple((w, 1.0 - v) for w, v in items), p))
 
     if alg.name == "ltn_q":
         q = alg.params["q"]
-        items = _normalized(items) if fam.is_exact else tuple(
-            (1.0 / len(values), v) for v in values
-        )
+        items = _normalized(items)
         if kind == FORALL:
             return snap01(_log_power_forall(items, q))
         return snap01(1.0 - _log_power_forall(tuple((w, 1.0 - v) for w, v in items), q))
 
     if alg.name == "stl_r":
-        if not fam.is_exact:
-            raise ExactOnlyError("stl_r aggregates exact finite families only")
         r = alg.params["r"]
         return _smooth_min(items, r) if kind == FORALL else _smooth_max(items, r)
 

@@ -14,25 +14,36 @@ The recursion runs once and yields the denotation as a function from
 valuations to truth values (``compile_formula``); evaluation applies it.
 Nothing is compiled away or restructured: the staged function mirrors
 the inductive definition clause by clause, it just avoids re-walking
-the syntax tree.  The exact kinds add a memo on every quantifier and
-bind node, keyed on the valuation restricted to the node's free
-variables: the same clause runs, but at most once per distinct
-restriction.  On the bind chains of weighted model counting this turns
-path enumeration into variable elimination.
+the syntax tree.  Every clause is staged as a *batch denotation* that
+maps many valuations at once, held as value columns, to their truth
+values.
 
-Under the sampler kind every clause is staged as a *batch denotation*
-instead: it maps a chunk of draws -- the valuation shared by the chunk,
-per-draw value columns of the bind variables, and one 64-bit key state
-per draw -- to the list of the draws' truth values.  The key tree is the
-one a per-draw interpretation would use: a bind draws its outer value
-at child 0 and runs its body at child 1, a connective evaluates its left
-operand at child 0 and its right one at child 1, and the items of a
-quantifier follow the left-nested fold (item ``j`` of ``m`` at child
-0 taken ``m - 1 - j`` times, then child 1 unless ``j`` is 0).  A bind
-builds each computation once per distinct argument tuple, draws the
-outer values for the whole chunk and runs its body once on the extended
-chunk; a subformula without a bind or a computational atom runs once
-per distinct restriction of the chunk, never once per draw.
+Under the exact kinds (identity, non-empty sets, finite distributions)
+applying the denotation turns the valuation into one-row columns.
+Atoms and connectives map over whole columns.  A quantifier extends
+each row by every family element and aggregates each row's slice, in
+item order.  A bind extends each row by its computation's support and
+folds the rows back: the single outcome (identity), the union of
+members (non-empty sets), or the expectation in support order
+(distributions).  Quantifier and bind nodes group their rows by the
+restriction to the node's free variables and compute only restrictions
+the node has not met before, keeping the values for as long as the
+denotation lives.  On the bind chains of weighted model counting this
+turns path enumeration into variable elimination.
+
+Under the sampler kind a batch denotation maps a chunk of draws -- the
+valuation shared by the chunk, per-draw value columns of the bind
+variables, and one 64-bit key state per draw -- to the list of the
+draws' truth values.  The key tree is the one a per-draw interpretation
+would use: a bind draws its outer value at child 0 and runs its body at
+child 1, a connective evaluates its left operand at child 0 and its
+right one at child 1, and the items of a quantifier follow the
+left-nested fold (item ``j`` of ``m`` at child 0 taken ``m - 1 - j``
+times, then child 1 unless ``j`` is 0).  A bind builds each computation
+once per distinct argument tuple, draws the outer values for the whole
+chunk and runs its body once on the extended chunk; a subformula
+without a bind or a computational atom runs once per distinct
+restriction of the chunk, never once per draw.
 
 The four supported pairings are classical (identity monad, boolean
 algebra), logic-of-paradox (non-empty sets, three-valued algebra),
@@ -187,36 +198,6 @@ def _matom_value(fw: Framework, c: effects.Computation):
     return sum(p for v, p in c.pairs if _basis_bool(v))
 
 
-_MISSING = object()
-
-
-def _memoized(fn: Callable[[Valuation], object], free: FrozenSet[str]):
-    """Cache a node's denotation on the valuation restricted to ``free``.
-
-    A denotation reads its free variables and nothing else of the
-    valuation, and every monad's value is a pure function of what it reads
-    (a sampler's value is a procedure of its key), so equal restrictions
-    give equal values.  Keys pair each value with its type, which keeps
-    ``True``, ``1`` and ``1.0`` apart.  The table lives in the closure and
-    dies with the compiled denotation.
-    """
-    names = tuple(sorted(free))
-    cache: dict = {}
-
-    def memo_fn(nu):
-        try:
-            values = [nu[name] for name in names]
-        except KeyError as exc:
-            raise OpenFormulaError(f"no value for variable {exc.args[0]!r}") from None
-        key = (*values, *map(type, values))
-        value = cache.get(key, _MISSING)
-        if value is _MISSING:
-            value = cache[key] = fn(nu)
-        return value
-
-    return memo_fn
-
-
 def compile_formula(
     f: syntax.Formula,
     fw: Framework,
@@ -229,66 +210,54 @@ def compile_formula(
 
     ``budget`` and ``key`` fix the sampled points of continuous-sort
     quantifiers (sampler framework); exact frameworks ignore them.  Each
-    clause returns its denotation together with its free variables, and
-    quantifier and bind nodes are memoized on them (:func:`_memoized`).
-    Under the sampler kind the denotation maps a valuation to a sampler
-    over batches of draws (:func:`_compile_batches`).
+    clause returns its batch denotation together with its free variables:
+    ``fn(cols, n)`` maps ``n`` rows of value columns to the rows' truth
+    values.  Applying the result turns the valuation into one-row columns.
+    A quantifier extends each row by every family element and aggregates
+    each row's slice; a bind extends each row by its computation's support
+    and folds the rows back.  Both group their rows by the restriction to
+    their own free variables and compute only restrictions they have not
+    seen before (:func:`_new_rows`).  Under the sampler kind the
+    denotation maps a valuation to a sampler over batches of draws
+    (:func:`_compile_batches`).
     """
     kind = fw.monad_kind
     if kind == effects.SAMPLER:
         return _compile_batches(f, interp, budget, key)
     alg = fw.algebra
     eta = _eta_fn(fw)
-    closed = frozenset()
-
-    def comp_term(t: syntax.Term):
-        if isinstance(t, syntax.Var):
-            name = t.name
-
-            def var_fn(nu):
-                try:
-                    return nu[name]
-                except KeyError:
-                    raise OpenFormulaError(f"no value for variable {name!r}") from None
-
-            return var_fn, frozenset((name,))
-        if isinstance(t, syntax.Lit):
-            value = t.value
-            return (lambda nu: value), closed
-        arg_fns, free = comp_terms(t.args)
-        run = model.compile_function(interp, t.func)
-        return (lambda nu: run([fn(nu) for fn in arg_fns])), free
-
-    def comp_terms(terms):
-        compiled = [comp_term(a) for a in terms]
-        free = closed.union(*(names for _, names in compiled))
-        return tuple(fn for fn, _ in compiled), free
 
     def comp(f: syntax.Formula, key: Optional[RandomKey]):
-        if isinstance(f, syntax.Top):
-            top = alg.top
-            return (lambda nu: top), closed
-        if isinstance(f, syntax.Bot):
-            bot = alg.bot
-            return (lambda nu: bot), closed
-        if isinstance(f, syntax.Prop):
-            value = eta(model.apply_predicate(interp, f.name, ()))
-            return (lambda nu: value), closed
+        if isinstance(f, (syntax.Top, syntax.Bot, syntax.Prop, syntax.MProp)):
+            if isinstance(f, syntax.Top):
+                value = alg.top
+            elif isinstance(f, syntax.Bot):
+                value = alg.bot
+            elif isinstance(f, syntax.Prop):
+                value = eta(model.apply_predicate(interp, f.name, ()))
+            else:
+                value = _matom_value(fw, model.apply_computational(interp, f.name, []))
+            return (lambda cols, n: [value] * n), _CLOSED
         if isinstance(f, syntax.Atom):
-            arg_fns, free = comp_terms(f.args)
+            arg_fns, free = _stage_terms(interp, f.args)
             run = model.compile_predicate(interp, f.pred)
-            return (lambda nu: eta(run([fn(nu) for fn in arg_fns]))), free
-        if isinstance(f, syntax.MProp):
-            value = _matom_value(fw, model.apply_computational(interp, f.name, []))
-            return (lambda nu: value), closed
+
+            def atom_fn(cols, n):
+                return list(map(eta, _apply_rows(run, arg_fns, _EMPTY, cols, n)))
+
+            return atom_fn, free
         if isinstance(f, syntax.MAtom):
-            arg_fns, free = comp_terms(f.args)
+            arg_fns, free = _stage_terms(interp, f.args)
             run = model.compile_computational(interp, f.mpred)
-            return (lambda nu: _matom_value(fw, run([fn(nu) for fn in arg_fns]))), free
+
+            def matom_fn(cols, n):
+                return [_matom_value(fw, c) for c in _apply_rows(run, arg_fns, _EMPTY, cols, n)]
+
+            return matom_fn, free
         if isinstance(f, syntax.Not):
             body, free = comp(f.body, key)
             neg = alg.neg
-            return (lambda nu: neg(body(nu))), free
+            return (lambda cols, n: list(map(neg, body(cols, n)))), free
         if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):
             left, left_free = comp(f.left, key.child(0) if key is not None else None)
             right, right_free = comp(f.right, key.child(1) if key is not None else None)
@@ -297,14 +266,18 @@ def compile_formula(
                 syntax.Or: alg.disj,
                 syntax.Implies: alg.implies,
             }[type(f)]
-            return (lambda nu: op(left(nu), right(nu))), left_free | right_free
+            free = left_free | right_free
+            return (lambda cols, n: list(map(op, left(cols, n), right(cols, n)))), free
         if isinstance(f, (syntax.Forall, syntax.Exists)):
-            fn, free = comp_quantifier(f, key)
-        elif isinstance(f, syntax.Bind):
-            fn, free = comp_bind(f, key)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        return _memoized(fn, free), free
+            return comp_quantifier(f, key)
+        if isinstance(f, syntax.Bind):
+            return comp_bind(f, key)
+        raise TypeError(f"not a formula: {f!r}")
+
+    # Quantifier and bind nodes keep a table from the restrictions of rows
+    # to their free variables to values, and compute only the rows whose
+    # restriction is new (:func:`_new_rows`).  The grouping is written
+    # into each node, so evaluation nests one Python frame per node.
 
     def comp_quantifier(f, key):
         quant = "forall" if isinstance(f, syntax.Forall) else "exists"
@@ -314,77 +287,154 @@ def compile_formula(
             raise FiniteOnlyError(
                 f"quantifying continuous sort {f.sort!r} needs the sampler framework"
             )
-        elements = family.items()
+        # the weights are checked once, here; each row pairs them with its values
+        items = family.items()
+        weights = [w for w, _ in items]
+        points = [a for _, a in items]
+        size = len(points)
         body, body_free = comp(f.body, key.child(1) if key is not None else None)
         var = f.var
+        free = body_free - {var}
+        names, table = tuple(sorted(free)), {}
 
-        def quant_fn(nu):
-            pairs = [(w, body({**nu, var: a})) for w, a in elements]
-            return aggregate(alg, quant, WeightedFamily.exact(pairs))
+        def quant_fn(cols, n):
+            keys, new, sub = _new_rows(names, table, cols, n)
+            if new:
+                m = len(new)
+                values = body(_extended(sub, [points] * m, var, points * m), m * size)
+                for start, k in zip(range(0, m * size, size), new):
+                    row = tuple(zip(weights, values[start:start + size]))
+                    table[k] = aggregate(alg, quant, WeightedFamily("exact", pairs=row))
+            return [table[k] for k in keys]
 
-        return quant_fn, body_free - {var}
+        return quant_fn, free
 
     def comp_bind(f, key):
-        arg_fns, args_free = comp_terms(f.args)
+        arg_fns, args_free = _stage_terms(interp, f.args)
         body, body_free = comp(f.body, key.child(0) if key is not None else None)
         var, mfunc = f.var, f.mfunc
         run = model.compile_computational(interp, mfunc)
         free = args_free | (body_free - {var})
+        names, table = tuple(sorted(free)), {}
 
-        def computation(nu):
-            c = run([fn(nu) for fn in arg_fns])
-            if c.kind != kind:
-                raise KindMismatchError(
-                    f"bind of {mfunc!r} produced a {c.kind!r} computation under "
-                    f"the {kind!r} framework"
-                )
-            return c
+        def computations(cols, n):
+            comps = _apply_rows(run, arg_fns, _EMPTY, cols, n)
+            for c in comps:
+                if c.kind != kind:
+                    raise KindMismatchError(
+                        f"bind of {mfunc!r} produced a {c.kind!r} computation under "
+                        f"the {kind!r} framework"
+                    )
+            return comps
 
         if kind == effects.IDENTITY:
-            return (lambda nu: body({**nu, var: computation(nu).value})), free
+
+            def identity_fn(cols, n):
+                keys, new, sub = _new_rows(names, table, cols, n)
+                if new:
+                    m = len(new)
+                    outcomes = [c.value for c in computations(sub, m)]
+                    table.update(zip(new, body({**sub, var: outcomes}, m)))
+                return [table[k] for k in keys]
+
+            return identity_fn, free
         if kind == effects.NONEMPTY_SET:
 
-            def lp_fn(nu):
-                members = set()
-                for a in computation(nu).values:
-                    members |= body({**nu, var: a}).members
-                return LP3.from_members(members)
+            def lp_fn(cols, n):
+                keys, new, sub = _new_rows(names, table, cols, n)
+                if new:
+                    supports = [c.values for c in computations(sub, len(new))]
+                    column = [a for support in supports for a in support]
+                    values = iter(body(_extended(sub, supports, var, column), len(column)))
+                    for k, support in zip(new, supports):
+                        members = set()
+                        for _, v in zip(support, values):
+                            members |= v.members
+                        table[k] = LP3.from_members(members)
+                return [table[k] for k in keys]
 
             return lp_fn, free
-        stl = alg.name == "stl_r"
+        # the expectation is a convex combination; pin fp noise
+        finish = _robustness if alg.name == "stl_r" else snap01
 
-        def dist_fn(nu):
-            total = 0.0
-            for a, p in computation(nu).pairs:
-                total += p * body({**nu, var: a})
-            # the expectation is a convex combination; pin fp noise
-            return _robustness(total) if stl else snap01(total)
+        def dist_fn(cols, n):
+            keys, new, sub = _new_rows(names, table, cols, n)
+            if new:
+                rows = [c.pairs for c in computations(sub, len(new))]
+                column = [a for pairs in rows for a, _ in pairs]
+                values = iter(body(_extended(sub, rows, var, column), len(column)))
+                out = []
+                for pairs in rows:
+                    total = 0.0
+                    for (_, p), v in zip(pairs, values):
+                        total += p * v
+                    out.append(finish(total))
+                table.update(zip(new, out))
+            return [table[k] for k in keys]
 
         return dist_fn, free
 
-    return comp(f, key)[0]
+    fn, free = comp(f, key)
+    names = tuple(sorted(free))
+
+    def denotation(nu):
+        cols = {}
+        for name in names:
+            if name not in nu:
+                raise OpenFormulaError(f"no value for variable {name!r}")
+            cols[name] = (nu[name],)
+        return fn(cols, 1)[0]
+
+    return denotation
 
 
-_NO_COLS: Dict[str, list] = {}
+_CLOSED: FrozenSet[str] = frozenset()
+_EMPTY: Dict[str, list] = {}  # no valuation, or no columns
 _ONE_ROW = range(1)
 # computations a sampler bind or atom keeps; arguments read from draws of a
 # continuous sort are new on every draw, so the table starts over when full
 _KEPT_COMPUTATIONS = 4096
 
 
+def _row_keys(names, cols):
+    """Each row's key on the named columns.  Keys pair each value with its
+    type, which keeps ``True``, ``1`` and ``1.0`` apart."""
+    columns = [cols[name] for name in names]
+    return zip(*columns, *(map(type, c) for c in columns))
+
+
 def _distinct(names, cols):
     """Group a chunk's rows by their values in the named columns.
 
     Returns the distinct restrictions as columns, their number, and each
-    row's index into them.  Keys pair each value with its type, which
-    keeps ``True``, ``1`` and ``1.0`` apart.
+    row's index into them.
     """
-    columns = [cols[name] for name in names]
-    keys = zip(*columns, *(map(type, c) for c in columns))
     seen: dict = {}
-    index = [seen.setdefault(k, len(seen)) for k in keys]
+    index = [seen.setdefault(k, len(seen)) for k in _row_keys(names, cols)]
     distinct = list(zip(*seen)) or [()] * len(names)
     return dict(zip(names, distinct)), len(seen), index
+
+
+def _new_rows(names, table, cols, n):
+    """Group rows by their restriction to ``names`` for a node's table.
+
+    Returns every row's key, the keys not yet in ``table`` in the order
+    they first occur, and those restrictions as columns.  A node's value
+    depends only on the restriction, since a denotation reads its free
+    variables and nothing else and every exact value is a pure function
+    of what it reads.
+    """
+    keys = list(_row_keys(names, cols)) if names else [()] * n
+    new = [k for k in dict.fromkeys(keys) if k not in table]
+    return keys, new, dict(zip(names, zip(*new)))
+
+
+def _extended(cols, outcomes, var, column):
+    """The columns with row ``i`` repeated once per entry of
+    ``outcomes[i]``, plus ``column``, those entries in order, as ``var``."""
+    ext = {name: [v for v, row in zip(col, outcomes) for _ in row] for name, col in cols.items()}
+    ext[var] = column
+    return ext
 
 
 def _grouped(fn, free: FrozenSet[str]):
@@ -395,7 +445,7 @@ def _grouped(fn, free: FrozenSet[str]):
     def grouped(nu, cols, states):
         varying = [name for name in names if name in cols]
         if not varying:
-            return fn(nu, _NO_COLS, _ONE_ROW) * len(states)
+            return fn(nu, _EMPTY, _ONE_ROW) * len(states)
         sub, count, index = _distinct(varying, cols)
         if not count:
             return []
@@ -410,6 +460,37 @@ def _apply_rows(run, arg_fns, nu, cols, n):
     if not arg_fns:
         return [run(())] * n
     return list(map(run, zip(*[fn(nu, cols, n) for fn in arg_fns])))
+
+
+def _stage_term(interp: model.Interpretation, t: syntax.Term):
+    """Stage a term as a batch function ``fn(nu, cols, n)`` giving each of
+    ``n`` rows its value, together with the term's free variables.  A
+    variable is read from its column, else from the valuation ``nu``
+    shared by the rows."""
+    if isinstance(t, syntax.Var):
+        name = t.name
+
+        def var_fn(nu, cols, n):
+            col = cols.get(name)
+            if col is not None:
+                return col
+            try:
+                return [nu[name]] * n
+            except KeyError:
+                raise OpenFormulaError(f"no value for variable {name!r}") from None
+
+        return var_fn, frozenset((name,))
+    if isinstance(t, syntax.Lit):
+        value = t.value
+        return (lambda nu, cols, n: [value] * n), _CLOSED
+    arg_fns, free = _stage_terms(interp, t.args)
+    run = model.compile_function(interp, t.func)
+    return (lambda nu, cols, n: _apply_rows(run, arg_fns, nu, cols, n)), free
+
+
+def _stage_terms(interp: model.Interpretation, terms):
+    staged = [_stage_term(interp, t) for t in terms]
+    return tuple(fn for fn, _ in staged), _CLOSED.union(*(free for _, free in staged))
 
 
 def _compile_batches(
@@ -430,45 +511,19 @@ def _compile_batches(
     parts), so those errors surface then, and returns the sampler.
     """
     base = make_algebra("boolean")
-    closed = frozenset()
-
-    def term(t: syntax.Term):
-        if isinstance(t, syntax.Var):
-            name = t.name
-
-            def var_fn(nu, cols, n):
-                col = cols.get(name)
-                if col is not None:
-                    return col
-                try:
-                    return [nu[name]] * n
-                except KeyError:
-                    raise OpenFormulaError(f"no value for variable {name!r}") from None
-
-            return var_fn, frozenset((name,))
-        if isinstance(t, syntax.Lit):
-            value = t.value
-            return (lambda nu, cols, n: [value] * n), closed
-        arg_fns, free = terms(t.args)
-        run = model.compile_function(interp, t.func)
-        return (lambda nu, cols, n: _apply_rows(run, arg_fns, nu, cols, n)), free
-
-    def terms(ts):
-        compiled = [term(a) for a in ts]
-        return tuple(fn for fn, _ in compiled), closed.union(*(names for _, names in compiled))
 
     def computations(symbol, args, mismatch):
         """Per chunk: the computation of each distinct argument tuple, built
         once while the table holds fewer than ``_KEPT_COMPUTATIONS``, and
         each row's index into them."""
-        arg_fns, free = terms(args)
+        arg_fns, free = _stage_terms(interp, args)
         names = tuple(sorted(free))
         run = model.compile_computational(interp, symbol)
         table: dict = {}
 
         def lookup(nu, cols):
             varying = [name for name in names if name in cols]
-            sub, count, index = _NO_COLS, 1, None
+            sub, count, index = _EMPTY, 1, None
             if varying:
                 sub, count, index = _distinct(varying, cols)
             comps = []
@@ -496,9 +551,9 @@ def _compile_batches(
                 value = model.apply_predicate(interp, f.name, ())
             else:
                 value = base.top if isinstance(f, syntax.Top) else base.bot
-            return (lambda nu, cols, states: [value] * len(states)), closed, False
+            return (lambda nu, cols, states: [value] * len(states)), _CLOSED, False
         if isinstance(f, syntax.Atom):
-            arg_fns, free = terms(f.args)
+            arg_fns, free = _stage_terms(interp, f.args)
             run = model.compile_predicate(interp, f.pred)
             return (
                 (lambda nu, cols, states: _apply_rows(run, arg_fns, nu, cols, len(states))),
@@ -605,9 +660,9 @@ def _compile_batches(
             if name not in nu:
                 raise OpenFormulaError(f"no value for variable {name!r}")
         if not draws:
-            return effects.unit(effects.SAMPLER, fn(nu, _NO_COLS, _ONE_ROW)[0])
-        fn(nu, _NO_COLS, ())  # a chunk of no draws: build what no draw feeds
-        return effects.Sampler(draw=lambda states: fn(nu, _NO_COLS, states))
+            return effects.unit(effects.SAMPLER, fn(nu, _EMPTY, _ONE_ROW)[0])
+        fn(nu, _EMPTY, ())  # a chunk of no draws: build what no draw feeds
+        return effects.Sampler(draw=lambda states: fn(nu, _EMPTY, states))
 
     return denotation
 

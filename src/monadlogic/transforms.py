@@ -10,9 +10,10 @@ Weighted model counting closes a classical query over network variables
 with a chain of binds ``[x1 := cpd_x1(), x2 := cpd_x2(parents), ...]F``;
 its distributional evaluation equals the explicit sum over variable
 valuations, which ``wmc_bruteforce`` computes independently.  The
-evaluator memoizes each bind on its free variables, so the chain is
-summed out variable by variable in topological order: the cost is
-exponential only in the frontier width (the most variables any bind's
+evaluator runs each bind on a batch of rows and groups them by their
+values of the bind's free variables, computing each group once, so the
+chain is summed out variable by variable in topological order: the cost
+is exponential only in the frontier width (the most variables any bind's
 continuation still needs), not in the number of variables.
 ``wmc_bruteforce`` stays exponential in the number of variables.
 """

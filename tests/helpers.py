@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 from monadlogic import (
     IDENTITY,
+    LP3,
     NONEMPTY_SET,
     CTable,
     Dist,
@@ -19,8 +21,12 @@ from monadlogic import (
     Interpretation,
     RandomKey,
     TableFunc,
+    WeightedFamily,
+    aggregate,
 )
 from monadlogic import model, syntax
+from monadlogic.algebra import snap01
+from monadlogic.errors import CarrierMismatchError, KindMismatchError
 from monadlogic.syntax import (
     And,
     Atom,
@@ -222,6 +228,25 @@ def random_sampler_formula(rng: random.Random, depth: int = 4, mpreds=()):
     return quant("x", "S", formula(depth - 1, ["x"]))
 
 
+def node_types(f):
+    """Count the formula's node types, plus quantifiers nested in
+    quantifiers and binds below a connective, walking it iteratively."""
+    counts = Counter()
+    stack = [(f, False, False)]
+    while stack:
+        node, in_quant, in_conn = stack.pop()
+        name = type(node).__name__
+        counts[name] += 1
+        quant = isinstance(node, (syntax.Forall, syntax.Exists))
+        counts["nested quantifier"] += quant and in_quant
+        counts["bind below a connective"] += isinstance(node, syntax.Bind) and in_conn
+        conn = in_conn or isinstance(node, (syntax.And, syntax.Or, syntax.Implies))
+        for field in ("body", "left", "right"):
+            if hasattr(node, field):
+                stack.append((getattr(node, field), in_quant or quant, conn))
+    return counts
+
+
 def _reference_draw(interp, name, args, key: RandomKey):
     """One draw of a computational symbol at a key, read off the
     interpretation's rows or builtin parameters."""
@@ -311,3 +336,101 @@ def reference_estimate(f, interp, budget: int, seed: int):
     )
     est = hits / budget
     return est, math.sqrt(est * (1.0 - est) / budget)
+
+
+def reference_exact(f, fw, interp, nu):
+    """Per-valuation reference for the exact kinds: the truth value of
+    ``f`` under the valuation ``nu``, walking the clauses of the semantics
+    once per valuation with the algebra's operations and ``aggregate``.
+
+    An atom is the unit of its basis truth value; a computational atom
+    reads its computation in the truth space (the members under
+    non-empty sets, the probability of truth or the expected robustness
+    under distributions); a quantifier aggregates the family of its
+    body's values; a bind is the Kleisli extension: the value at the
+    single outcome, the union of the members over the outcomes, or the
+    expectation over the support in its order.
+    """
+    alg, kind = fw.algebra, fw.monad_kind
+    stl = alg.name == "stl_r"
+
+    def unit(b):
+        if kind == IDENTITY:
+            return b
+        if kind == NONEMPTY_SET:
+            return LP3.T if b else LP3.F
+        if stl:
+            return math.inf if b else -math.inf
+        return 1.0 if b else 0.0
+
+    def basis(v):
+        if isinstance(v, bool) or v in (0, 1):
+            return bool(v)
+        raise CarrierMismatchError(f"{v!r} is not a truth-basis value")
+
+    def robustness(x):
+        if x != x:
+            raise CarrierMismatchError("expected robustness is undefined")
+        return x
+
+    def computation(name, args):
+        c = model.apply_computational(interp, name, args)
+        if c.kind != kind:
+            raise KindMismatchError(f"{name!r} gave a {c.kind!r} computation")
+        return c
+
+    def term(t, nu):
+        if isinstance(t, syntax.Var):
+            return nu[t.name]
+        if isinstance(t, syntax.Lit):
+            return t.value
+        return model.apply_function(interp, t.func, [term(a, nu) for a in t.args])
+
+    def value(f, nu):
+        if isinstance(f, syntax.Top):
+            return alg.top
+        if isinstance(f, syntax.Bot):
+            return alg.bot
+        if isinstance(f, syntax.Prop):
+            return unit(model.apply_predicate(interp, f.name, ()))
+        if isinstance(f, syntax.Atom):
+            return unit(model.apply_predicate(interp, f.pred, [term(t, nu) for t in f.args]))
+        if isinstance(f, (syntax.MProp, syntax.MAtom)):
+            if kind == IDENTITY:
+                raise CarrierMismatchError("computational atoms have no classical reading")
+            name, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
+            c = computation(name, [term(t, nu) for t in args])
+            if kind == NONEMPTY_SET:
+                return LP3.from_members(basis(v) for v in c.values)
+            if stl:
+                total = 0.0
+                for v, p in c.pairs:
+                    total += p * (unit(v) if isinstance(v, bool) else float(v))
+                return robustness(total)
+            return sum(p for v, p in c.pairs if basis(v))
+        if isinstance(f, syntax.Not):
+            return alg.neg(value(f.body, nu))
+        if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):
+            op = {syntax.And: alg.conj, syntax.Or: alg.disj, syntax.Implies: alg.implies}[type(f)]
+            return op(value(f.left, nu), value(f.right, nu))
+        if isinstance(f, (syntax.Forall, syntax.Exists)):
+            family = model.quantifier_family(interp, f.sort)
+            pairs = [(w, value(f.body, {**nu, f.var: a})) for w, a in family.items()]
+            quant = "forall" if isinstance(f, syntax.Forall) else "exists"
+            return aggregate(alg, quant, WeightedFamily.exact(pairs))
+        if isinstance(f, syntax.Bind):
+            c = computation(f.mfunc, [term(t, nu) for t in f.args])
+            if kind == IDENTITY:
+                return value(f.body, {**nu, f.var: c.value})
+            if kind == NONEMPTY_SET:
+                members = set()
+                for a in c.values:
+                    members |= value(f.body, {**nu, f.var: a}).members
+                return LP3.from_members(members)
+            total = 0.0
+            for a, p in c.pairs:
+                total += p * value(f.body, {**nu, f.var: a})
+            return robustness(total) if stl else snap01(total)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return value(f, nu)

@@ -20,7 +20,6 @@ from monadlogic import (
     parse_algebra_string,
     unit,
 )
-from monadlogic.algebra import sampled_log_mean_stats
 from monadlogic.errors import (
     ArityMismatchError,
     CarrierMismatchError,
@@ -91,6 +90,13 @@ class TestTables:
         assert priest.conj(LP3.B, LP3.T) is LP3.B
         assert priest.disj(LP3.B, LP3.F) is LP3.B
         assert priest.implies(LP3.B, LP3.F) is LP3.B  # max(neg B, F)
+        # every result is a member of the carrier, on the whole table
+        for x in LP3:
+            assert type(priest.neg(x)) is LP3
+            for y in LP3:
+                assert priest.conj(x, y) is LP3(min(int(x), int(y)))
+                assert priest.disj(x, y) is LP3(max(int(x), int(y)))
+                assert priest.implies(x, y) is LP3(max(2 - int(x), int(y)))
 
     def test_boolean_table(self):
         boolean = make_algebra("boolean")
@@ -216,29 +222,6 @@ class TestAggregate:
             WeightedFamily.exact(((-1.0, 0.5),))
         with pytest.raises(EmptyFamilyError):
             WeightedFamily.sampled(())
-
-    def test_sampled_product_aggregation(self):
-        # geometric mean of the draws, computed independently
-        values = (0.5, 0.8, 0.2)
-        est = aggregate(make_algebra("product"), "forall", WeightedFamily.sampled(values))
-        oracle = math.exp(sum(math.log(v) for v in values) / 3)
-        assert abs(est - oracle) <= 1e-12
-        est_ex = aggregate(make_algebra("product"), "exists", WeightedFamily.sampled(values))
-        oracle_ex = 1.0 - math.exp(sum(math.log(1 - v) for v in values) / 3)
-        assert abs(est_ex - oracle_ex) <= 1e-12
-
-    def test_sampled_stats_stderr(self):
-        values = (0.5, 0.8, 0.2)
-        est, stderr = sampled_log_mean_stats(values)
-        logs = [math.log(v) for v in values]
-        mean = sum(logs) / 3
-        var = sum((l - mean) ** 2 for l in logs) / 3
-        assert abs(est - math.exp(mean)) <= 1e-15
-        assert abs(stderr - est * math.sqrt(var / 3)) <= 1e-15
-
-    def test_sampled_zero_collapses(self):
-        est, stderr = sampled_log_mean_stats((0.5, 0.0))
-        assert est == 0.0 and math.isnan(stderr)
 
     def test_ltn_q_constant_fixed_point(self):
         for q in (0.5, 0.75, 1.0):

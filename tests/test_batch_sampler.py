@@ -25,30 +25,17 @@ from monadlogic import (
 )
 from monadlogic.cli import main
 
-from helpers import finite_system, interpret, random_sampler_formula, reference_estimate
+from helpers import (
+    finite_system,
+    interpret,
+    node_types,
+    random_sampler_formula,
+    reference_estimate,
+)
 
 
 def sampler():
     return make_framework(SAMPLER, make_algebra("product"))
-
-
-def node_types(f):
-    """Count the formula's node types, plus quantifiers nested in
-    quantifiers and binds below a connective, walking it iteratively."""
-    counts = Counter()
-    stack = [(f, False, False)]
-    while stack:
-        node, in_quant, in_conn = stack.pop()
-        name = type(node).__name__
-        counts[name] += 1
-        quant = isinstance(node, (syntax.Forall, syntax.Exists))
-        counts["nested quantifier"] += quant and in_quant
-        counts["bind below a connective"] += isinstance(node, syntax.Bind) and in_conn
-        conn = in_conn or isinstance(node, (syntax.And, syntax.Or, syntax.Implies))
-        for field in ("body", "left", "right"):
-            if hasattr(node, field):
-                stack.append((getattr(node, field), in_quant or quant, conn))
-    return counts
 
 
 def assert_matches_reference(f, interp, budget, seed):

@@ -1,6 +1,7 @@
 """Command-line front-end: subcommands, output contracts, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -265,6 +266,10 @@ class TestSelftest:
 
 
 def test_console_entry_point(demo_dir):
+    # the child imports the package from this checkout's sources
+    src = str(demo_dir.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "monadlogic.cli", "eval",
          "--sig", str(demo_dir / "mnist.sig.json"),
@@ -272,7 +277,7 @@ def test_console_entry_point(demo_dir):
          "--framework", "dist", "--algebra", "product",
          "--formula", "[n1 := classify(im1)][n2 := classify(im2)] eq(add(n1, n2), 1)",
          "--machine"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0 and proc.stdout == "value=0.5\n"
 
@@ -315,25 +320,34 @@ class TestNestingTooDeep:
         )
 
     def test_long_wmc_chain(self, capsys, tmp_path):
-        entries = [{"name": "x1", "sort": "B", "parents": [],
-                    "rows": [[[[1, 0.5], [0, 0.5]]]]}]
-        for i in range(2, 1001):
-            entries.append({
-                "name": f"x{i}", "sort": "B", "parents": [f"x{i - 1}"],
-                "rows": [[0, [[1, 0.2], [0, 0.8]]], [1, [[1, 0.7], [0, 0.3]]]],
-            })
-        sig = tmp_path / "chain.sig.json"
-        interp = tmp_path / "chain.interp.json"
-        sig.write_text(json.dumps({"sorts": ["B"], "preds": {"eq": {"args": ["B", "B"]}}}))
-        interp.write_text(json.dumps({
-            "sorts": {"B": {"kind": "enum", "values": [0, 1]}},
-            "preds": {"eq": {"kind": "builtin", "name": "eq"}},
-            "network": {"vars": entries},
-        }))
-        self.assert_nesting_error(*run(
-            capsys, "wmc", "--sig", str(sig), "--interp", str(interp),
-            "--formula", "eq(x1000, 1)", "--machine",
-        ))
+        self.assert_nesting_error(*run(capsys, *chain_wmc_args(tmp_path, 1000)))
+
+    def test_450_variable_wmc_chain_still_evaluates(self, capsys, tmp_path):
+        # the longest chains that evaluate nest one frame per bind and node;
+        # evaluation must not nest deeper than compilation does
+        code, out, err = run(capsys, *chain_wmc_args(tmp_path, 450))
+        assert (code, out, err) == (0, "wmc=0.40000000000000036\n", "")
+
+
+def chain_wmc_args(tmp_path, n):
+    """``wmc`` arguments for a binary chain x1 -> ... -> xn queried at xn."""
+    entries = [{"name": "x1", "sort": "B", "parents": [],
+                "rows": [[[[1, 0.5], [0, 0.5]]]]}]
+    for i in range(2, n + 1):
+        entries.append({
+            "name": f"x{i}", "sort": "B", "parents": [f"x{i - 1}"],
+            "rows": [[0, [[1, 0.2], [0, 0.8]]], [1, [[1, 0.7], [0, 0.3]]]],
+        })
+    sig = tmp_path / "chain.sig.json"
+    interp = tmp_path / "chain.interp.json"
+    sig.write_text(json.dumps({"sorts": ["B"], "preds": {"eq": {"args": ["B", "B"]}}}))
+    interp.write_text(json.dumps({
+        "sorts": {"B": {"kind": "enum", "values": [0, 1]}},
+        "preds": {"eq": {"kind": "builtin", "name": "eq"}},
+        "network": {"vars": entries},
+    }))
+    return ("wmc", "--sig", str(sig), "--interp", str(interp),
+            "--formula", f"eq(x{n}, 1)", "--machine")
 
 
 class TestSamplerFold:

@@ -27,12 +27,13 @@ closed forms p*q, p + q - p*q, 1 - p and 1 - p + p*q.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable, Sequence, Tuple
 
 from . import effects
+from .effects import LP3, basis, snap01
 from .errors import (
     ArityMismatchError,
     CarrierMismatchError,
@@ -44,24 +45,6 @@ from .errors import (
 )
 
 _LN_ZERO = 1e-300  # values below this count as 0 and contribute ln 0 = -inf
-_SNAP_TOL = 1e-9
-
-
-def snap01(x: float) -> float:
-    """Pin epsilon excursions of probability arithmetic to the boundary.
-
-    Convex combinations and t-(co)norm formulas are mathematically inside
-    [0, 1]; floating point can land a few ulps outside.  Anything beyond
-    the tolerance is a genuine carrier violation and passes through for
-    the carrier check to reject.
-    """
-    if 0.0 <= x <= 1.0:
-        return x
-    if 1.0 < x <= 1.0 + _SNAP_TOL:
-        return 1.0
-    if -_SNAP_TOL <= x < 0.0:
-        return 0.0
-    return x
 
 BOOL = "bool"
 LP3_CARRIER = "lp3"
@@ -71,42 +54,6 @@ SAMPLER_CARRIER = "sampler"
 
 FORALL = "forall"
 EXISTS = "exists"
-
-
-class LP3(enum.IntEnum):
-    """Three-valued truth: false < both-true-and-false < true."""
-
-    F = 0
-    B = 1
-    T = 2
-
-    @classmethod
-    def from_bool(cls, b: bool) -> "LP3":
-        return cls.T if b else cls.F
-
-    @classmethod
-    def from_members(cls, members: Iterable[bool]) -> "LP3":
-        ms = set(members)
-        if ms == {True}:
-            return cls.T
-        if ms == {False}:
-            return cls.F
-        if ms == {True, False}:
-            return cls.B
-        raise CarrierMismatchError(f"{ms!r} is not a non-empty subset of the truth basis")
-
-    @property
-    def members(self) -> frozenset:
-        if self is LP3.T:
-            return frozenset((True,))
-        if self is LP3.F:
-            return frozenset((False,))
-        return frozenset((True, False))
-
-    def __repr__(self) -> str:
-        return self.name
-
-    __str__ = __repr__
 
 
 _PRIEST_NEG = (LP3.T, LP3.B, LP3.F)  # indexed by F, B, T
@@ -160,7 +107,14 @@ class WeightedFamily:
 
 @dataclass(frozen=True)
 class TruthAlgebra:
-    """An operation table over one truth-value carrier."""
+    """An operation table over one truth-value carrier.
+
+    ``forall`` and ``exists`` aggregate a tuple of ``(weight, value)``
+    items of the carrier.  ``pin`` returns an expectation of carrier
+    values (a bind under finite distributions) to the carrier, and
+    ``embed`` reads an outcome of a computational predicate as a truth
+    value; by default the unit embedding of the basis, ``top`` or ``bot``.
+    """
 
     name: str
     carrier: str
@@ -170,8 +124,17 @@ class TruthAlgebra:
     conj: Callable
     disj: Callable
     implies: Callable
+    forall: Callable = None
+    exists: Callable = None
+    pin: Callable = snap01
+    embed: Callable = None
     params: dict = field(default_factory=dict)
     approximate: bool = False  # smooth connectives; monoid laws hold only in the limit
+
+    def __post_init__(self):
+        if self.embed is None:
+            top, bot = self.top, self.bot
+            object.__setattr__(self, "embed", lambda v: top if basis(v) else bot)
 
 
 # connective tables
@@ -250,15 +213,19 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=lambda x, y: x and y,
             disj=lambda x, y: x or y,
             implies=lambda x, y: (not x) or y,
+            forall=lambda items: all(v for _, v in items),
+            exists=lambda items: any(v for _, v in items),
         )
     if name == "priest":
-        # min and max of two members return a member; negation is a lookup
+        # min and max of members return a member; negation is a lookup
         return TruthAlgebra(
             name, LP3_CARRIER, LP3.T, LP3.F,
             neg=lambda x: _PRIEST_NEG[x],
             conj=min,
             disj=max,
             implies=lambda x, y: max(_PRIEST_NEG[x], y),
+            forall=lambda items: min(v for _, v in items),
+            exists=lambda items: max(v for _, v in items),
         )
     if name == "product":
         return TruthAlgebra(
@@ -267,18 +234,28 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=lambda x, y: x * y,
             disj=lambda x, y: snap01(x + y - x * y),
             implies=_prob_implies_residual,
+            forall=lambda items: _weighted_product(items, complement=False),
+            exists=lambda items: 1.0 - _weighted_product(items, complement=True),
         )
     if name in ("sproduct", "ltn_p", "ltn_q"):
+        forall = lambda items: _weighted_product(items, complement=False)
+        exists = lambda items: 1.0 - _weighted_product(items, complement=True)
         if name == "ltn_p":
             p = float(params.get("p", 0.0))
             if not (math.isfinite(p) and p >= 1.0):
                 raise ParamOutOfRangeError(f"ltn_p needs a finite p >= 1, got {params.get('p')!r}")
             params = {"p": p}
+            forall = lambda items: snap01(1.0 - _pmean(_complement(_normalized(items)), p))
+            exists = lambda items: snap01(_pmean(_normalized(items), p))
         elif name == "ltn_q":
             q = float(params.get("q", 0.0))
             if not 0.5 <= q <= 1.0:
                 raise ParamOutOfRangeError(f"ltn_q needs 1/2 <= q <= 1, got {params.get('q')!r}")
             params = {"q": q}
+            forall = lambda items: snap01(_log_power_forall(_normalized(items), q))
+            exists = lambda items: snap01(
+                1.0 - _log_power_forall(_complement(_normalized(items)), q)
+            )
         else:
             params = {}
         return TruthAlgebra(
@@ -287,6 +264,8 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=lambda x, y: x * y,
             disj=lambda x, y: snap01(x + y - x * y),
             implies=lambda x, y: snap01(1.0 - x + x * y),
+            forall=forall,
+            exists=exists,
             params=params,
         )
     if name == "stl_r":
@@ -299,6 +278,10 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=lambda x, y: _smooth_min(((1.0, x), (1.0, y)), r),
             disj=lambda x, y: _smooth_max(((1.0, x), (1.0, y)), r),
             implies=lambda x, y: _smooth_max(((1.0, -x), (1.0, y)), r),
+            forall=lambda items: _smooth_min(items, r),
+            exists=lambda items: _smooth_max(items, r),
+            pin=_robustness,
+            embed=_robustness_outcome,
             params={"r": r},
             approximate=True,
         )
@@ -370,6 +353,10 @@ def _weighted_product(items, complement: bool) -> float:
     return total
 
 
+def _complement(items):
+    return tuple((w, 1.0 - v) for w, v in items)
+
+
 def _normalized(items):
     total = sum(w for w, _ in items)
     return tuple((w / total, v) for w, v in items)
@@ -400,84 +387,47 @@ def aggregate(alg: TruthAlgebra, kind: str, fam: WeightedFamily):
     if not fam.is_exact:
         raise ExactOnlyError(f"{alg.name} aggregates exact finite families only")
     items = tuple((w, check_carrier(alg, v)) for w, v in fam.items())
+    reduce_items = alg.forall if kind == FORALL else alg.exists
+    if reduce_items is None:
+        raise UnknownAlgebraError(f"no aggregator for algebra {alg.name!r}")
+    return reduce_items(items)
 
-    if alg.carrier == SAMPLER_CARRIER:
+
+def _robustness(x: float) -> float:
+    """An expected robustness; NaN (mass on both +inf and -inf) has no reading."""
+    if x != x:
         raise CarrierMismatchError(
-            "sampler truth values are folded by the evaluator, a batch of draws at a time"
+            "expected robustness is undefined: outcomes at both +inf and -inf (stl_r)"
         )
-    if alg.carrier in (BOOL, LP3_CARRIER):
-        op = alg.conj if kind == FORALL else alg.disj
-        acc = items[0][1]
-        for _, v in items[1:]:
-            acc = op(acc, v)
-        return acc
+    return x
 
-    if alg.name in ("product", "sproduct") or alg.name.startswith("lifted_"):
-        if kind == FORALL:
-            return _weighted_product(items, complement=False)
-        return 1.0 - _weighted_product(items, complement=True)
 
-    if alg.name == "ltn_p":
-        p = alg.params["p"]
-        items = _normalized(items)
-        if kind == EXISTS:
-            return snap01(_pmean(items, p))
-        return snap01(1.0 - _pmean(tuple((w, 1.0 - v) for w, v in items), p))
-
-    if alg.name == "ltn_q":
-        q = alg.params["q"]
-        items = _normalized(items)
-        if kind == FORALL:
-            return snap01(_log_power_forall(items, q))
-        return snap01(1.0 - _log_power_forall(tuple((w, 1.0 - v) for w, v in items), q))
-
-    if alg.name == "stl_r":
-        r = alg.params["r"]
-        return _smooth_min(items, r) if kind == FORALL else _smooth_max(items, r)
-
-    raise UnknownAlgebraError(f"no aggregator for algebra {alg.name!r}")
+def _robustness_outcome(v) -> float:
+    """A computational predicate's outcome as a robustness: crisp outcomes
+    at +inf or -inf, numbers as they are."""
+    if isinstance(v, bool):
+        return math.inf if v else -math.inf
+    if isinstance(v, (int, float)):
+        return float(v)
+    raise CarrierMismatchError(f"{v!r} is not a robustness value (stl_r)")
 
 
 # lifting
 
 
-def _lift_embed(monad_kind: str):
-    if monad_kind == effects.IDENTITY:
-        return lambda b: effects.Pure(b), lambda c: c.value
-    if monad_kind == effects.NONEMPTY_SET:
-        return (
-            lambda t: effects.NESet(t.members),
-            lambda c: LP3.from_members(c.values),
-        )
-    if monad_kind == effects.DISTRIBUTION:
-        return (
-            lambda p: effects.Dist(((True, p), (False, 1.0 - p))),
-            lambda c: snap01(sum(q for v, q in c.pairs if v)),
-        )
-    if monad_kind == effects.SAMPLER:
-        return lambda s: s, lambda c: c
-    raise CarrierMismatchError(f"cannot lift over monad kind {monad_kind!r}")
-
-
-_LIFT_CARRIER = {
-    effects.IDENTITY: BOOL,
-    effects.NONEMPTY_SET: LP3_CARRIER,
-    effects.DISTRIBUTION: PROB,
-    effects.SAMPLER: SAMPLER_CARRIER,
-}
-
-
 def lift_algebra(base: TruthAlgebra, monad_kind: str) -> TruthAlgebra:
     """Lift a base algebra to computations: bind the arguments, apply the
-    base operation, and return the unit of the result."""
+    base operation, and return the unit of the result.  Truth values are
+    read off the computations with the monad's ``truth``, and the
+    quantifiers fold the lifted connectives."""
     if base.carrier != BOOL:
         raise CarrierMismatchError("only the boolean base algebra is lifted")
-    embed, extract = _lift_embed(monad_kind)
+    monad = effects.monad(monad_kind)
+    embed, extract, unit = monad.embed, monad.truth, monad.unit
 
     def lifted_unop(op):
         def run(a):
-            ca = embed(a)
-            return extract(effects.bind(ca, lambda x: effects.unit(monad_kind, op(x))))
+            return extract(effects.bind(embed(a), lambda x: unit(op(x))))
 
         return run
 
@@ -485,21 +435,24 @@ def lift_algebra(base: TruthAlgebra, monad_kind: str) -> TruthAlgebra:
         def run(a, b):
             ca, cb = embed(a), embed(b)
             return extract(
-                effects.bind(
-                    ca,
-                    lambda x: effects.bind(cb, lambda y: effects.unit(monad_kind, op(x, y))),
-                )
+                effects.bind(ca, lambda x: effects.bind(cb, lambda y: unit(op(x, y))))
             )
 
         return run
 
+    def folded(op):
+        return lambda items: reduce(op, (v for _, v in items))
+
+    conj, disj = lifted_binop(base.conj), lifted_binop(base.disj)
     return TruthAlgebra(
         name=f"lifted_{base.name}_{monad_kind}",
-        carrier=_LIFT_CARRIER[monad_kind],
-        top=extract(effects.unit(monad_kind, base.top)),
-        bot=extract(effects.unit(monad_kind, base.bot)),
+        carrier=monad.carrier,
+        top=extract(unit(base.top)),
+        bot=extract(unit(base.bot)),
         neg=lifted_unop(base.neg),
-        conj=lifted_binop(base.conj),
-        disj=lifted_binop(base.disj),
+        conj=conj,
+        disj=disj,
         implies=lifted_binop(base.implies),
+        forall=folded(conj),
+        exists=folded(disj),
     )

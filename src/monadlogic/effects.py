@@ -3,14 +3,20 @@
 A :class:`Computation` is an effectful value over some carrier of plain
 Python values: a single value, a non-empty set of candidate values, a
 finitely-supported probability distribution, or a seeded sampling
-procedure.  ``unit`` embeds a value into a computation and ``bind``
-sequences computations (the Kleisli extension), with the usual laws
+procedure.  Each kind is a :class:`Monad` value (``MONADS``) whose
+``unit`` embeds a value into a computation and whose ``bind`` sequences
+computations (the Kleisli extension), with the usual laws
 
     bind(unit(x), k) == k(x)
     bind(c, unit)    == c
     bind(bind(c, f), g) == bind(c, lambda x: bind(f(x), g))
 
-holding exactly for the finite kinds and statistically for samplers.
+holding exactly for the finite kinds and statistically for samplers.  The
+module functions :func:`unit`, :func:`bind` and :func:`realize` dispatch
+to the monad of a kind or of a computation.  A monad value also holds
+what the evaluator needs of it: the truth algebras it pairs with, how a
+computation over the truth basis reads as a truth value, and the two
+halves of a batch bind, ``expand`` and ``fold``.
 
 Randomness is never global: every draw is a pure function of a
 :class:`RandomKey`, so sampling is reproducible bit-for-bit given
@@ -24,11 +30,12 @@ whatever the budget.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from .errors import BudgetMissingError, KindMismatchError
+from .errors import BudgetMissingError, CarrierMismatchError, KindMismatchError
 
 Value = Union[bool, int, float, str]
 
@@ -45,6 +52,7 @@ _DRAW_SALT = 0xD1B54A32D192ED03
 _PROB_EPS = 1e-15
 _SUM_TOL = 1e-9
 _UNIFORM_DENOM = 2.0**64 + 1.0
+_SNAP_TOL = 1e-9
 
 CHUNK = 1024  # draws per batch in realize
 
@@ -131,6 +139,30 @@ def draw_states(key: RandomKey, start: int, stop: int) -> List[int]:
     return child_states((state + i * _GAMMA for i in range(start, stop)), 0)
 
 
+def item_states(states: Sequence[int], m: int) -> List[int]:
+    """The states of the ``m`` items of a quantifier at every state of a
+    batch, row by row.  Item ``j`` sits at child 0 taken ``m - 1 - j``
+    times, then child 1 unless ``j`` is 0: the key tree of the left-nested
+    fold ``((v0 op v1) op v2) ...``."""
+    inc0, inc1 = _GAMMA, 2 * _GAMMA
+    out = []
+    for s in states:
+        row = []
+        for _ in range(m - 1):
+            z = (s + inc1) & _MASK
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+            row.append(z ^ (z >> 31))
+            z = (s + inc0) & _MASK
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+            s = z ^ (z >> 31)
+        row.append(s)
+        row.reverse()
+        out += row
+    return out
+
+
 def uniforms(states: Sequence[int], index: int = 0) -> List[float]:
     """``RandomKey.uniform(index)`` at every state of a batch."""
     inc = (index + 1) * _DRAW_SALT
@@ -151,6 +183,72 @@ def normals(states: Sequence[int], mu: float, sigma: float) -> List[float]:
         mu + sigma * sqrt(-2.0 * log(u1)) * cos(tau * u2)
         for u1, u2 in zip(uniforms(states, 0), uniforms(states, 1))
     ]
+
+
+# the truth basis and the truth spaces of the finite kinds
+
+
+def basis(v: Value) -> bool:
+    """A truth-basis value (a bool, or the numbers 0 and 1) as a bool."""
+    if isinstance(v, bool):
+        return v
+    if v in (0, 1):
+        return bool(v)
+    raise CarrierMismatchError(f"{v!r} is not a truth-basis value")
+
+
+def snap01(x: float) -> float:
+    """Pin epsilon excursions of probability arithmetic to the boundary.
+
+    Convex combinations and t-(co)norm formulas are mathematically inside
+    [0, 1]; floating point can land a few ulps outside.  Anything beyond
+    the tolerance is a genuine carrier violation and passes through for
+    the carrier check to reject.
+    """
+    if 0.0 <= x <= 1.0:
+        return x
+    if 1.0 < x <= 1.0 + _SNAP_TOL:
+        return 1.0
+    if -_SNAP_TOL <= x < 0.0:
+        return 0.0
+    return x
+
+
+class LP3(enum.IntEnum):
+    """Three-valued truth, the non-empty subsets of the truth basis:
+    false < both-true-and-false < true."""
+
+    F = 0
+    B = 1
+    T = 2
+
+    @classmethod
+    def from_bool(cls, b: bool) -> "LP3":
+        return cls.T if b else cls.F
+
+    @classmethod
+    def from_members(cls, members: Iterable[bool]) -> "LP3":
+        ms = set(members)
+        if ms == {True}:
+            return cls.T
+        if ms == {False}:
+            return cls.F
+        if ms == {True, False}:
+            return cls.B
+        raise CarrierMismatchError(f"{ms!r} is not a non-empty subset of the truth basis")
+
+    @property
+    def members(self) -> frozenset:
+        if self is LP3.T:
+            return frozenset((True,))
+        if self is LP3.F:
+            return frozenset((False,))
+        return frozenset((True, False))
+
+    def __repr__(self) -> str:
+        return self.name
+
+    __str__ = __repr__
 
 
 def _type_rank(v: Value) -> int:
@@ -297,96 +395,26 @@ class Sampler(Computation):
         return f"Sampler({self.draw!r})"
 
 
-_TRUE_SAMPLER: "Sampler"
-_FALSE_SAMPLER: "Sampler"
-
-
-def unit(kind: str, v: Value) -> Computation:
-    """Embed a value into a computation of the given monad kind."""
-    if kind == IDENTITY:
-        return Pure(v)
-    if kind == NONEMPTY_SET:
-        return NESet((v,))
-    if kind == DISTRIBUTION:
-        return Dist(((v, 1.0),))
-    if kind == SAMPLER:
-        if v is True:  # constant samplers are immutable, so share them
-            return _TRUE_SAMPLER
-        if v is False:
-            return _FALSE_SAMPLER
-        return Sampler(const=v)
-    raise KindMismatchError(f"unknown monad kind {kind!r}")
-
-
-def _expect_kind(c: Computation, kind: str) -> Computation:
-    if c.kind != kind:
-        raise KindMismatchError(
-            f"continuation returned a {c.kind!r} computation inside a {kind!r} one"
-        )
-    return c
-
-
-def bind(c: Computation, k: Callable[[Value], Computation]) -> Computation:
-    """Kleisli extension: sequence ``c`` into the computation ``k`` builds.
-
-    identity: plain application.  Sets: union of images.  Distributions:
-    the two-level marginal, renormalization-checked.  Samplers: draw the
-    outer value with child key 0, run the continuation with child key 1;
-    a batch runs ``k`` once per distinct (hashable) outer value.
-    """
-    if isinstance(c, Pure):
-        return _expect_kind(k(c.value), IDENTITY)
-    if isinstance(c, NESet):
-        out = set()
-        for a in c.values:
-            out |= _expect_kind(k(a), NONEMPTY_SET).values
-        return NESet(out)
-    if isinstance(c, Dist):
-        acc: dict = {}
-        for a, p in c.pairs:
-            for b, q in _expect_kind(k(a), DISTRIBUTION).pairs:
-                acc[b] = acc.get(b, 0.0) + p * q
-        return Dist(acc.items())
-    if isinstance(c, Sampler):
-        if c.is_const:
-            return _expect_kind(k(c.const), SAMPLER)
-
-        def draw(states):
-            groups: dict = {}
-            index = [groups.setdefault((a, type(a)), len(groups))
-                     for a in c.draw(child_states(states, 0))]
-            inner = [_expect_kind(k(a), SAMPLER) for a, _ in groups]
-            return draw_grouped(inner, index, child_states(states, 1))
-
-        return Sampler(draw=draw)
-    raise KindMismatchError(f"cannot bind {type(c).__name__}")
-
-
 _TRUE_SAMPLER = Sampler(const=True)
 _FALSE_SAMPLER = Sampler(const=False)
 
 
-def draw_grouped(samplers, index, states: Sequence[int]) -> list:
-    """Draw row ``i`` of a batch from ``samplers[index[i]]`` (from the only
-    sampler when ``index`` is None), each sampler once for its rows."""
-    if index is None or len(samplers) == 1:
-        return samplers[0].draw(states)
-    rows = [[] for _ in samplers]
-    for i, g in enumerate(index):
-        rows[g].append(i)
+def draw_grouped(samplers: Sequence[Sampler], states: Sequence[int]) -> list:
+    """Draw row ``i`` of a batch from ``samplers[i]``, each distinct
+    sampler once for all of its rows."""
+    if not samplers:
+        return []
+    first = samplers[0]
+    if samplers.count(first) == len(samplers):
+        return first.draw(states)
+    groups: dict = {}
+    for i, sampler in enumerate(samplers):
+        groups.setdefault(id(sampler), (sampler, []))[1].append(i)
     out = [None] * len(states)
-    for sampler, idx in zip(samplers, rows):
+    for sampler, idx in groups.values():
         for i, v in zip(idx, sampler.draw([states[i] for i in idx])):
             out[i] = v
     return out
-
-
-def _as_bool(v: Value) -> bool:
-    if isinstance(v, bool):
-        return v
-    if v in (0, 1):
-        return bool(v)
-    raise KindMismatchError(f"{v!r} is not a truth-basis value")
 
 
 @dataclass(frozen=True)
@@ -398,46 +426,6 @@ class Realization:
     samples: int = None
     seed: int = None
 
-    @property
-    def is_estimate(self) -> bool:
-        return self.stderr is not None
-
-
-def realize(c: Computation, budget: int = None, key: RandomKey = None) -> Realization:
-    """Read a truth-basis computation off as a report.
-
-    Exact kinds are read directly; samplers are estimated from ``budget``
-    draws keyed by (seed, sample index), with a binomial standard error.
-    The draws are made in batches of ``CHUNK`` (:func:`draws`).
-    """
-    from .algebra import LP3
-
-    if isinstance(c, Pure):
-        return Realization(_as_bool(c.value))
-    if isinstance(c, NESet):
-        return Realization(LP3.from_members(_as_bool(v) for v in c.values))
-    if isinstance(c, Dist):
-        return Realization(sum(p for v, p in c.pairs if _as_bool(v)))
-    if isinstance(c, Sampler):
-        if c.is_const:
-            return Realization(
-                1.0 if _as_bool(c.const) else 0.0,
-                stderr=0.0,
-                samples=budget,
-                seed=key.seed if key is not None else None,
-            )
-        hits = 0
-        for values in draws(c, budget, key):
-            for v in values:
-                if v is True:
-                    hits += 1
-                elif v is not False and _as_bool(v):
-                    hits += 1
-        est = hits / budget
-        stderr = math.sqrt(est * (1.0 - est) / budget)
-        return Realization(est, stderr=stderr, samples=budget, seed=key.seed)
-    raise KindMismatchError(f"cannot realize {type(c).__name__}")
-
 
 def draws(c: Sampler, budget: int, key: RandomKey) -> Iterator[list]:
     """Draw ``c`` at ``key.child(i)`` for ``i < budget``, ``CHUNK`` at a time."""
@@ -447,3 +435,270 @@ def draws(c: Sampler, budget: int, key: RandomKey) -> Iterator[list]:
         raise BudgetMissingError("sampler realization needs a RandomKey")
     for start in range(0, budget, CHUNK):
         yield c.draw(draw_states(key, start, min(start + CHUNK, budget)))
+
+
+# the monads
+
+
+def _expect_kind(c: Computation, kind: str) -> Computation:
+    if c.kind != kind:
+        raise KindMismatchError(
+            f"continuation returned a {c.kind!r} computation inside a {kind!r} one"
+        )
+    return c
+
+
+class Monad:
+    """A computation monad, as the library and the evaluator use it.
+
+    ``algebras`` names the truth algebras it pairs with and ``carrier`` the
+    carrier of the boolean algebra lifted over it.  ``truth`` reads a
+    computation over the truth basis as a truth value, and ``embed`` is its
+    inverse.  A batch bind takes each row's computation, asks ``expand``
+    for the outcomes, evaluates the body once at every outcome of every row
+    and asks ``fold`` for each row's value.  A monad that ``draws`` gives a
+    row one outcome, drawn at the row's key state, and its rows' truth
+    values are basis values; ``reads_rows`` is False where a computational
+    predicate has no reading.
+    """
+
+    kind: str
+    algebras: Tuple[str, ...]
+    carrier: str
+    draws = False
+    reads_rows = True
+
+    def pair(self, algebra_name: str) -> None:
+        """Reject a truth algebra this monad does not pair with."""
+        if algebra_name not in self.algebras:
+            raise CarrierMismatchError(
+                f"monad kind {self.kind!r} supports algebras {self.algebras}, not {algebra_name!r}"
+            )
+
+    def accept(self, kind: str, symbol: str) -> None:
+        """Reject a computational symbol whose computations are of another kind."""
+        if kind != self.kind:
+            raise KindMismatchError(
+                f"computational symbol {symbol!r} produces {kind!r} computations "
+                f"under the {self.kind!r} framework"
+            )
+
+    def realize(self, c: Computation, budget: int = None, key: RandomKey = None) -> Realization:
+        return Realization(self.truth(c))
+
+    def fold(self, rows, values, pin):
+        """Each row's value: with one outcome per row, the body's value."""
+        return values
+
+    def result(self, run: Callable, draws: bool):
+        """The value at one valuation of a batch denotation ``run(n, states)``."""
+        return run(1, None)[0]
+
+
+class _Identity(Monad):
+    kind, algebras, carrier = IDENTITY, ("boolean",), "bool"
+    reads_rows = False  # computational predicates have no classical reading
+
+    def unit(self, v):
+        return Pure(v)
+
+    def bind(self, c, k):
+        return _expect_kind(k(c.value), IDENTITY)
+
+    def truth(self, c):
+        return basis(c.value)
+
+    def embed(self, t):
+        return Pure(t)
+
+    def expand(self, comps, states):
+        """The single outcome of each row's computation."""
+        return None, [c.value for c in comps]
+
+
+class _Set(Monad):
+    kind, algebras, carrier = NONEMPTY_SET, ("priest",), "lp3"
+
+    def unit(self, v):
+        return NESet((v,))
+
+    def bind(self, c, k):
+        out = set()
+        for a in c.values:
+            out |= _expect_kind(k(a), NONEMPTY_SET).values
+        return NESet(out)
+
+    def truth(self, c):
+        return LP3.from_members(basis(v) for v in c.values)
+
+    def embed(self, t):
+        return NESet(t.members)
+
+    def expand(self, comps, states):
+        """Each row's candidate values."""
+        rows = [c.values for c in comps]
+        return rows, [a for support in rows for a in support]
+
+    def fold(self, rows, values, pin):
+        """The union of the members of each row's values."""
+        values = iter(values)
+        out = []
+        for support in rows:
+            members = set()
+            for _, v in zip(support, values):
+                members |= v.members
+            out.append(LP3.from_members(members))
+        return out
+
+
+class _Dist(Monad):
+    kind, carrier = DISTRIBUTION, "prob"
+    algebras = ("product", "sproduct", "ltn_p", "ltn_q", "stl_r")
+
+    def unit(self, v):
+        return Dist(((v, 1.0),))
+
+    def bind(self, c, k):
+        acc: dict = {}
+        for a, p in c.pairs:
+            for b, q in _expect_kind(k(a), DISTRIBUTION).pairs:
+                acc[b] = acc.get(b, 0.0) + p * q
+        return Dist(acc.items())
+
+    def truth(self, c):
+        total = 0.0
+        for v, p in c.pairs:
+            if basis(v):
+                total += p
+        return snap01(total)
+
+    def embed(self, p):
+        return Dist(((True, p), (False, 1.0 - p)))
+
+    def expand(self, comps, states):
+        """Each row's support, in support order."""
+        rows = [c.pairs for c in comps]
+        return rows, [a for pairs in rows for a, _ in pairs]
+
+    def fold(self, rows, values, pin):
+        """Each row's expectation, summed in support order and ``pin``ned
+        to the algebra's carrier."""
+        values = iter(values)
+        out = []
+        for pairs in rows:
+            total = 0.0
+            for (_, p), v in zip(pairs, values):
+                total += p * v
+            out.append(pin(total))
+        return out
+
+
+class _Sampler(Monad):
+    kind, algebras, carrier = SAMPLER, ("product",), "sampler"
+    draws = True
+
+    def unit(self, v):
+        if v is True:  # constant samplers are immutable, so share them
+            return _TRUE_SAMPLER
+        if v is False:
+            return _FALSE_SAMPLER
+        return Sampler(const=v)
+
+    def bind(self, c, k):
+        """Draw the outer value with child key 0 and run the continuation
+        with child key 1; a batch runs ``k`` once per distinct (hashable)
+        outer value."""
+        if c.is_const:
+            return _expect_kind(k(c.const), SAMPLER)
+
+        def draw(states):
+            inner: dict = {}
+            rows = []
+            for a in c.draw(child_states(states, 0)):
+                if (a, type(a)) not in inner:
+                    inner[a, type(a)] = _expect_kind(k(a), SAMPLER)
+                rows.append(inner[a, type(a)])
+            return draw_grouped(rows, child_states(states, 1))
+
+        return Sampler(draw=draw)
+
+    def truth(self, c):
+        return c
+
+    def embed(self, s):
+        return s
+
+    def realize(self, c, budget=None, key=None):
+        """An estimate from ``budget`` draws keyed by (seed, sample index),
+        with its binomial standard error."""
+        if c.is_const:
+            return Realization(
+                1.0 if basis(c.const) else 0.0,
+                stderr=0.0,
+                samples=budget,
+                seed=key.seed if key is not None else None,
+            )
+        hits = 0
+        for values in draws(c, budget, key):
+            for v in values:
+                if v is True:
+                    hits += 1
+                elif v is not False and basis(v):
+                    hits += 1
+        est = hits / budget
+        stderr = math.sqrt(est * (1.0 - est) / budget)
+        return Realization(est, stderr=stderr, samples=budget, seed=key.seed)
+
+    def expand(self, comps, states):
+        """One outcome per row, drawn at the row's state."""
+        return None, draw_grouped(comps, states)
+
+    def result(self, run, draws):
+        if not draws:
+            return self.unit(run(1, None)[0])
+        run(1, None)  # no draws: build what no draw feeds, so its errors come first
+        return Sampler(draw=lambda states: run(len(states), states))
+
+
+MONADS = {m.kind: m for m in (_Identity(), _Set(), _Dist(), _Sampler())}
+
+
+def monad(kind: str) -> Monad:
+    """The monad value of a kind."""
+    found = MONADS.get(kind) if isinstance(kind, str) else None
+    if found is None:
+        raise KindMismatchError(f"unknown monad kind {kind!r}")
+    return found
+
+
+def _monad_of(c, verb: str) -> Monad:
+    found = MONADS.get(c.kind) if isinstance(c, Computation) else None
+    if found is None:
+        raise KindMismatchError(f"cannot {verb} {type(c).__name__}")
+    return found
+
+
+def unit(kind: str, v: Value) -> Computation:
+    """Embed a value into a computation of the given monad kind."""
+    return monad(kind).unit(v)
+
+
+def bind(c: Computation, k: Callable[[Value], Computation]) -> Computation:
+    """Kleisli extension: sequence ``c`` into the computation ``k`` builds.
+
+    identity: plain application.  Sets: union of images.  Distributions:
+    the two-level marginal, renormalization-checked.  Samplers: draw the
+    outer value with child key 0, run the continuation with child key 1.
+    """
+    return _monad_of(c, "bind").bind(c, k)
+
+
+def realize(c: Computation, budget: int = None, key: RandomKey = None) -> Realization:
+    """Read a truth-basis computation off as a report.
+
+    Exact kinds are read directly; samplers are estimated from ``budget``
+    draws keyed by (seed, sample index), with a binomial standard error.
+    The draws are made in batches of ``CHUNK`` (:func:`draws`).  A value
+    outside the truth basis raises :class:`CarrierMismatchError`.
+    """
+    return _monad_of(c, "realize").realize(c, budget, key)

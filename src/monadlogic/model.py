@@ -313,15 +313,24 @@ def _builtin_stochastic(name: str, args, kind: str) -> effects.Computation:
         )
     if kind != effects.SAMPLER:
         raise FiniteOnlyError(f"builtin {name!r} needs the sampler kind")
+    params = [_num(name, a) for a in args]
+    try:
+        finite = all(map(math.isfinite, params))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ParamOutOfRangeError(f"{name} needs finite parameters, got {tuple(params)!r}")
     if name == "normal":
-        mu, sigma = (_num(name, a) for a in args)
+        mu, sigma = params
         if sigma <= 0:
             raise ParamOutOfRangeError(f"normal needs sigma > 0, got {sigma!r}")
         return effects.Sampler(draw=lambda states: effects.normals(states, mu, sigma))
     if name == "uniform_real":
-        lo, hi = (_num(name, a) for a in args)
-        if not lo < hi:
-            raise ParamOutOfRangeError(f"uniform_real needs lo < hi, got [{lo!r}, {hi!r}]")
+        lo, hi = params
+        if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+            raise ParamOutOfRangeError(
+                f"uniform_real needs lo < hi a finite distance apart, got [{lo!r}, {hi!r}]"
+            )
         return effects.Sampler(
             draw=lambda states: [lo + u * (hi - lo) for u in effects.uniforms(states)]
         )
@@ -468,6 +477,8 @@ def _load_domain(name: str, spec, monad_kind: str) -> Domain:
             mu, sigma = density.get("mu"), density.get("sigma")
             if not isinstance(mu, (int, float)) or not isinstance(sigma, (int, float)):
                 raise SchemaError(f"sort {name!r}: normal density needs mu and sigma")
+            if not (math.isfinite(mu) and math.isfinite(sigma)):
+                raise SchemaError(f"sort {name!r}: normal density needs finite mu and sigma")
             if sigma <= 0:
                 raise SchemaError(f"sort {name!r}: normal density needs sigma > 0")
             truncated = math.isfinite(lo) or math.isfinite(hi)

@@ -9,6 +9,7 @@ oracle.  Suites return pass/fail counts so a broken build fails loudly.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Dict, List, Tuple
 
@@ -85,19 +86,13 @@ def suite_monad_laws(instances: int = 200, sampler_n: int = 30000) -> Tuple[str,
             c = random_computation(rng, kind)
             k = random_kleisli(rng, kind)
             g = random_kleisli(rng, kind)
-            checks = []
-            left, right = effects.bind(effects.unit(kind, x), k), k(x)
-            checks.append(
-                dist_close(left, right) if kind == effects.DISTRIBUTION else left == right
-            )
-            left, right = effects.bind(c, lambda a: effects.unit(kind, a)), c
-            checks.append(
-                dist_close(left, right) if kind == effects.DISTRIBUTION else left == right
-            )
-            left = effects.bind(effects.bind(c, k), g)
-            right = effects.bind(c, lambda a: effects.bind(k(a), g))
-            checks.append(
-                dist_close(left, right) if kind == effects.DISTRIBUTION else left == right
+            same = dist_close if kind == effects.DISTRIBUTION else operator.eq
+            unit = effects.monad(kind).unit
+            checks = (
+                same(effects.bind(unit(x), k), k(x)),
+                same(effects.bind(c, unit), c),
+                same(effects.bind(effects.bind(c, k), g),
+                     effects.bind(c, lambda a: effects.bind(k(a), g))),
             )
             for ok in checks:
                 passed, failed = passed + ok, failed + (not ok)

@@ -407,7 +407,11 @@ def reference_exact(f, fw, interp, nu):
                 for v, p in c.pairs:
                     total += p * (unit(v) if isinstance(v, bool) else float(v))
                 return robustness(total)
-            return sum(p for v, p in c.pairs if basis(v))
+            total = 0.0
+            for v, p in c.pairs:
+                if basis(v):
+                    total += p
+            return total
         if isinstance(f, syntax.Not):
             return alg.neg(value(f.body, nu))
         if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):

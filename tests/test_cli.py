@@ -329,6 +329,64 @@ class TestNestingTooDeep:
         assert (code, out, err) == (0, "wmc=0.40000000000000036\n", "")
 
 
+class TestNonFiniteParameters:
+    """NaN and infinite parameters of continuous draws end in one coded
+    error line, never in truth values."""
+
+    def eval_line(self, capsys, tmp_path, interp_text, formula):
+        sig = tmp_path / "num.sig.json"
+        interp = tmp_path / "num.interp.json"
+        sig.write_text(json.dumps({
+            "sorts": ["Num"],
+            "mfuncs": {
+                "normal": {"args": ["Num", "Num"], "result": "Num"},
+                "uniform_real": {"args": ["Num", "Num"], "result": "Num"},
+            },
+            "preds": {p: {"args": ["Num", "Num"]} for p in ("eq", "lt", "gt")},
+        }))
+        interp.write_text(interp_text)
+        return run(
+            capsys, "eval", "--sig", str(sig), "--interp", str(interp),
+            "--framework", "sampler", "--algebra", "product", "--formula", formula,
+            "--samples", "1000", "--seed", "1", "--machine",
+        )
+
+    @staticmethod
+    def interp_text(density='{"kind": "normal", "mu": 0, "sigma": 1}'):
+        builtins = ", ".join(f'"{n}": {{"kind": "builtin", "name": "{n}"}}'
+                             for n in ("normal", "uniform_real"))
+        preds = ", ".join(f'"{p}": {{"kind": "builtin", "name": "{p}"}}' for p in ("eq", "lt", "gt"))
+        return (
+            '{"sorts": {"Num": {"kind": "real_interval", "lo": null, "hi": null, '
+            f'"density": {density}}}}}, "mfuncs": {{{builtins}}}, "preds": {{{preds}}}}}'
+        )
+
+    def assert_error(self, result, code_name):
+        code, out, err = result
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {code_name}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("formula", [
+        "[t := uniform_real(-1e400, 1e400)] lt(t, 0) | gt(t, 0) | eq(t, 0)",
+        "[t := normal(1e400, 1e400)] eq(t, t)",
+        "[t := normal(0, 1e400)] eq(t, t)",
+        "[t := normal(" + "9" * 400 + ", 1)] eq(t, t)",
+    ])
+    def test_builtin_parameters(self, capsys, tmp_path, formula):
+        result = self.eval_line(capsys, tmp_path, self.interp_text(), formula)
+        self.assert_error(result, "ParamOutOfRange")
+
+    @pytest.mark.parametrize("density", [
+        '{"kind": "normal", "mu": 0, "sigma": NaN}',
+        '{"kind": "normal", "mu": Infinity, "sigma": 1}',
+        '{"kind": "normal", "mu": -Infinity, "sigma": 1}',
+    ])
+    def test_density_parameters(self, capsys, tmp_path, density):
+        result = self.eval_line(
+            capsys, tmp_path, self.interp_text(density), "exists x:Num. eq(x, x)")
+        self.assert_error(result, "Schema")
+
+
 def chain_wmc_args(tmp_path, n):
     """``wmc`` arguments for a binary chain x1 -> ... -> xn queried at xn."""
     entries = [{"name": "x1", "sort": "B", "parents": [],

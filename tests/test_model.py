@@ -312,6 +312,28 @@ class TestComputational:
         with pytest.raises(ParamOutOfRangeError):
             apply_computational(interp, "normal", [0.0, 0.0])
 
+    @pytest.mark.parametrize("name, args", [
+        ("normal", [math.inf, 1.0]),
+        ("normal", [0.0, math.inf]),
+        ("normal", [0.0, math.nan]),
+        ("normal", [math.nan, 1.0]),
+        ("uniform_real", [-math.inf, math.inf]),
+        ("uniform_real", [0.0, math.nan]),
+        ("uniform_real", [-1e308, 1e308]),
+    ])
+    def test_non_finite_continuous_parameters_rejected(self, name, args):
+        sig = parse_signature(json.dumps({
+            "sorts": ["Num"],
+            "mfuncs": {name: {"args": ["Num", "Num"], "result": "Num"}},
+        }))
+        doc = {
+            "sorts": {"Num": {"kind": "real_interval", "lo": None, "hi": None}},
+            "mfuncs": {name: {"kind": "builtin", "name": name}},
+        }
+        interp = load_interpretation(doc, sig, SAMPLER)
+        with pytest.raises(ParamOutOfRangeError):
+            apply_computational(interp, name, args)
+
 
 class TestQuantifierFamily:
     def test_enum_unit_weights(self, traffic):
@@ -408,6 +430,23 @@ class TestDensities:
         phi = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
         expected = mu + sigma * (phi(alpha) - phi(beta)) / (_normal_cdf(beta) - _normal_cdf(alpha))
         assert abs(mean - expected) <= 4 * sd / math.sqrt(n)
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (0, math.nan), (math.nan, 1), (math.inf, 1), (0, math.inf),
+    ])
+    def test_non_finite_normal_density_rejected(self, mu, sigma):
+        sig = parse_signature('{"sorts": ["S"]}')
+        # json parses NaN and Infinity, so documents can carry them
+        text = json.dumps({
+            "sorts": {
+                "S": {
+                    "kind": "real_interval", "lo": None, "hi": None,
+                    "density": {"kind": "normal", "mu": mu, "sigma": sigma},
+                }
+            }
+        })
+        with pytest.raises(SchemaError):
+            load_interpretation(text, sig, SAMPLER)
 
     def test_unbounded_normal_allowed(self, weather):
         sig, doc = weather

@@ -62,7 +62,7 @@ class TestFrameworkPairings:
         assert classical().algebra_name == "boolean"
         assert lp().algebra_name == "priest"
         assert dist("stl_r", {"r": 5.0}).algebra_name == "stl_r"
-        assert sampler().algebra.carrier == "sampler"
+        assert sampler().algebra.carrier == "bool"
 
     def test_rejected(self):
         with pytest.raises(CarrierMismatchError):
@@ -448,6 +448,20 @@ class TestStlUndefinedValues:
             assert evaluate_sentence(parse_formula(text, sig), dist(), interp).value == 0.5
 
 
+class TestComputationalAtomValues:
+    @pytest.mark.parametrize("algebra", ["product", "sproduct"])
+    def test_all_false_row_reads_as_a_float(self, algebra):
+        sig = parse_signature(json.dumps({"sorts": ["S"], "mpreds": {"m": {"args": ["S"]}}}))
+        doc = {
+            "sorts": {"S": {"kind": "enum", "values": [0]}},
+            "mpreds": {"m": {"kind": "ctable", "rows": [[0, [[False, 1.0]]]]}},
+        }
+        interp = load_interpretation(doc, sig, DISTRIBUTION)
+        f = parse_formula("m(x)", sig, free={"x": "S"})
+        value = eval_formula(f, dist(algebra), interp, {"x": 0})
+        assert value == 0.0 and type(value) is float
+
+
 class TestKindChecks:
     def test_interp_and_framework_kinds_must_agree_on_computations(self, demo_text):
         sig = parse_signature(demo_text("mnist.sig.json"))
@@ -638,8 +652,7 @@ class TestReportFields:
 
 class TestEvalTerm:
     def test_variable_literal_and_application(self):
-        from monadlogic import eval_term
-        from monadlogic.syntax import App, Lit, Var
+        from monadlogic.syntax import App, Atom, Lit, Var
 
         sig = parse_signature(json.dumps({
             "sorts": ["S"],
@@ -647,6 +660,7 @@ class TestEvalTerm:
                 "add": {"args": ["S", "S"], "result": "S"},
                 "tag": {"args": ["S"], "result": "S"},
             },
+            "preds": {"eq": {"args": ["S", "S"]}},
         }))
         interp = load_interpretation({
             "sorts": {"S": {"kind": "enum", "values": [0, 1, 2, 3, 9]}},
@@ -654,7 +668,13 @@ class TestEvalTerm:
                 "add": {"kind": "builtin", "name": "add"},
                 "tag": {"kind": "table", "rows": [[3, 9]]},
             },
+            "preds": {"eq": {"kind": "builtin", "name": "eq"}},
         }, sig, IDENTITY)
-        assert eval_term(Var("x", "S"), interp, {"x": 3}) == 3
-        assert eval_term(App("add", (Lit(1), Lit(2)), "S"), interp, {}) == 3
-        assert eval_term(App("tag", (Var("x", "S"),), "S"), interp, {"x": 3}) == 9
+
+        def term_equals(term, value, nu):
+            return eval_formula(Atom("eq", (term, Lit(value))), classical(), interp, nu)
+
+        assert term_equals(Var("x", "S"), 3, {"x": 3}) is True
+        assert term_equals(App("add", (Lit(1), Lit(2)), "S"), 3, {}) is True
+        assert term_equals(App("tag", (Var("x", "S"),), "S"), 9, {"x": 3}) is True
+        assert term_equals(App("tag", (Var("x", "S"),), "S"), 3, {"x": 3}) is False

@@ -16,7 +16,6 @@ import sys
 from . import effects, model, semantics, transforms
 from .algebra import LP3, parse_algebra_string
 from .errors import BudgetMissingError, EngineError, SchemaError, UsageError
-from .selftest import run_selftest
 from .syntax import parse_formula, parse_signature
 
 _FRAMEWORKS = {
@@ -82,7 +81,7 @@ def cmd_eval(args) -> int:
     algebra = parse_algebra_string(args.algebra)
     framework = semantics.make_framework(monad_kind, algebra)
     sig, _, interp, _ = _load_system(args)
-    sampling = monad_kind == effects.SAMPLER
+    sampling = effects.monad(monad_kind).draws
     if sampling and (args.samples is None or args.seed is None):
         raise BudgetMissingError("the sampler framework requires --samples and --seed")
     if not sampling and (args.samples is not None or args.seed is not None):
@@ -141,6 +140,7 @@ def cmd_wmc(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # only this command needs the law suites
     lines, ok = run_selftest(args.scope)
     for line in lines:
         print(line)

@@ -15,8 +15,9 @@ holding exactly for the finite kinds and statistically for samplers.  The
 module functions :func:`unit`, :func:`bind` and :func:`realize` dispatch
 to the monad of a kind or of a computation.  A monad value also holds
 what the evaluator needs of it: the truth algebras it pairs with, how a
-computation over the truth basis reads as a truth value, and the two
-halves of a batch bind, ``expand`` and ``fold``.
+computation over the truth basis reads as a truth value, the two halves
+of a batch bind, ``expand`` and ``fold``, and how an interpretation's
+table rows and ``bernoulli`` coins become its computations.
 
 Randomness is never global: every draw is a pure function of a
 :class:`RandomKey`, so sampling is reproducible bit-for-bit given
@@ -32,7 +33,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import BudgetMissingError, CarrierMismatchError, KindMismatchError
@@ -459,7 +462,9 @@ class Monad:
     and asks ``fold`` for each row's value.  A monad that ``draws`` gives a
     row one outcome, drawn at the row's key state, and its rows' truth
     values are basis values; ``reads_rows`` is False where a computational
-    predicate has no reading.
+    predicate has no reading.  ``load`` keeps a parsed table row of an
+    interpretation document in the form ``row`` turns into a computation,
+    and ``coin`` is ``bernoulli``.
     """
 
     kind: str
@@ -482,6 +487,13 @@ class Monad:
                 f"computational symbol {symbol!r} produces {kind!r} computations "
                 f"under the {self.kind!r} framework"
             )
+
+    def load(self, row):
+        """The stored form of a parsed row, a frozenset of values (set
+        form) or a :class:`Dist`: here the distribution itself."""
+        if not isinstance(row, Dist):
+            raise ValueError(f"value sets are only loadable under the lp kind, not {self.kind!r}")
+        return row
 
     def realize(self, c: Computation, budget: int = None, key: RandomKey = None) -> Realization:
         return Realization(self.truth(c))
@@ -511,6 +523,21 @@ class _Identity(Monad):
     def embed(self, t):
         return Pure(t)
 
+    def load(self, row):
+        """A point mass or a singleton set, stored as its value."""
+        values = row.support if isinstance(row, Dist) else tuple(row)
+        if len(values) != 1:
+            raise ValueError(f"classical rows must be deterministic, got {row!r}")
+        return values[0]
+
+    def row(self, stored):
+        return Pure(stored)
+
+    def coin(self, p):
+        if p in (0.0, 1.0):
+            return Pure(int(p))
+        raise KindMismatchError("bernoulli is not deterministic under the classical kind")
+
     def expand(self, comps, states):
         """The single outcome of each row's computation."""
         return None, [c.value for c in comps]
@@ -533,6 +560,17 @@ class _Set(Monad):
 
     def embed(self, t):
         return NESet(t.members)
+
+    def load(self, row):
+        if isinstance(row, Dist):
+            raise ValueError("the lp kind needs set-valued rows (lists of values)")
+        return row
+
+    def row(self, stored):
+        return NESet(stored)
+
+    def coin(self, p):
+        return NESet({int(p)} if p in (0.0, 1.0) else {0, 1})
 
     def expand(self, comps, states):
         """Each row's candidate values."""
@@ -574,6 +612,12 @@ class _Dist(Monad):
 
     def embed(self, p):
         return Dist(((True, p), (False, 1.0 - p)))
+
+    def row(self, stored):
+        return stored
+
+    def coin(self, p):
+        return Dist(((1, p), (0, 1.0 - p)))
 
     def expand(self, comps, states):
         """Each row's support, in support order."""
@@ -627,6 +671,18 @@ class _Sampler(Monad):
 
     def embed(self, s):
         return s
+
+    def row(self, stored):
+        """Draw a stored distribution by inverse CDF: the first value whose
+        running mass exceeds the uniform; the last bound is open, so
+        rounding falls on the last value."""
+        values = [v for v, _ in stored.pairs]
+        bounds = list(accumulate(p for _, p in stored.pairs))
+        bounds[-1] = math.inf
+        return Sampler(draw=lambda states: [values[bisect_right(bounds, u)] for u in uniforms(states)])
+
+    def coin(self, p):
+        return Sampler(draw=lambda states: [1 if u < p else 0 for u in uniforms(states)])
 
     def realize(self, c, budget=None, key=None):
         """An estimate from ``budget`` draws keyed by (seed, sample index),

@@ -5,17 +5,18 @@ implementation: ordinary symbols get lookup tables or deterministic
 builtins, computational symbols get conditional tables (finite
 distributions per argument tuple) or stochastic builtin families.
 
-Interpretations are loaded for a fixed monad kind.  Continuous domains
-and the continuous builtin families (``normal``, ``uniform_real``) exist
-only under the ``sampler`` kind; the finite kinds reject them at load
-time.  Table coverage is checked lazily, at application time.
+Interpretations are loaded for a fixed monad kind, whose
+:class:`~monadlogic.effects.Monad` reads their table rows and
+``bernoulli`` coins.  Continuous domains and the continuous builtin
+families (``normal``, ``uniform_real``) exist only under a monad that
+draws (the ``sampler`` kind); the finite kinds reject them at load time.
+Table coverage is checked lazily, at application time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -26,7 +27,6 @@ from .errors import (
     EvalTypeError,
     BudgetMissingError,
     FiniteOnlyError,
-    KindMismatchError,
     MissingSymbolError,
     MissingTableRowError,
     ParamOutOfRangeError,
@@ -34,7 +34,7 @@ from .errors import (
     UnknownSortError,
 )
 from .algebra import WeightedFamily
-from .effects import RandomKey
+from .effects import Monad, RandomKey
 from .syntax import Signature
 
 Value = Union[bool, int, float, str]
@@ -130,9 +130,9 @@ class BuiltinFunc:
 class CTable:
     """Conditional table: argument tuple -> row payload.
 
-    The payload representation follows the interpretation's monad kind:
-    a plain value (identity), a frozenset (nonempty_set), or an
-    ``effects.Dist`` (distribution and sampler).
+    The payload is what the interpretation's monad ``load``s: a plain
+    value (identity), a frozenset (nonempty_set), or an ``effects.Dist``
+    (distribution and sampler).
     """
 
     rows: Dict[Tuple[Value, ...], object]
@@ -276,42 +276,13 @@ def apply_predicate(interp: Interpretation, name: str, args) -> bool:
     return compile_predicate(interp, name)(args)
 
 
-def _dist_to_computation(dist: effects.Dist, kind: str) -> effects.Computation:
-    if kind == effects.DISTRIBUTION:
-        return dist
-    if kind == effects.SAMPLER:
-        # inverse CDF: the first value whose running mass exceeds the
-        # uniform; the last bound is open, so rounding falls on the last value
-        values = [v for v, _ in dist.pairs]
-        bounds, acc = [], 0.0
-        for _, p in dist.pairs:
-            acc += p
-            bounds.append(acc)
-        bounds[-1] = math.inf
-        return effects.Sampler(
-            draw=lambda states: [values[bisect_right(bounds, u)] for u in effects.uniforms(states)]
-        )
-    raise KindMismatchError(f"cannot realize a distribution row under kind {kind!r}")
-
-
-def _builtin_stochastic(name: str, args, kind: str) -> effects.Computation:
+def _builtin_stochastic(name: str, args, monad: Monad) -> effects.Computation:
     if name == "bernoulli":
         p = _num(name, args[0])
         if not 0.0 <= p <= 1.0:
             raise ParamOutOfRangeError(f"bernoulli parameter {p!r} outside [0, 1]")
-        if kind == effects.IDENTITY:
-            if p in (0.0, 1.0):
-                return effects.Pure(int(p))
-            raise KindMismatchError("bernoulli is not deterministic under the classical kind")
-        if kind == effects.NONEMPTY_SET:
-            support = {int(p)} if p in (0.0, 1.0) else {0, 1}
-            return effects.NESet(support)
-        if kind == effects.DISTRIBUTION:
-            return effects.Dist(((1, p), (0, 1.0 - p)))
-        return effects.Sampler(
-            draw=lambda states: [1 if u < p else 0 for u in effects.uniforms(states)]
-        )
-    if kind != effects.SAMPLER:
+        return monad.coin(p)
+    if not monad.draws:
         raise FiniteOnlyError(f"builtin {name!r} needs the sampler kind")
     params = [_num(name, a) for a in args]
     try:
@@ -343,11 +314,11 @@ def compile_computational(interp: Interpretation, name: str):
     impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
     if impl is None:
         raise MissingSymbolError(f"no interpretation for computational symbol {name!r}")
-    kind = interp.kind
+    monad = effects.monad(interp.kind)
     if isinstance(impl, BuiltinStoch):
         bname = impl.name
-        return lambda args: _builtin_stochastic(bname, args, kind)
-    rows = impl.rows
+        return lambda args: _builtin_stochastic(bname, args, monad)
+    rows, row = impl.rows, monad.row
 
     def table_fn(args):
         try:
@@ -356,11 +327,7 @@ def compile_computational(interp: Interpretation, name: str):
             raise MissingTableRowError(
                 f"computational {name!r} has no row for {tuple(args)!r}"
             ) from None
-        if kind == effects.IDENTITY:
-            return effects.Pure(payload)
-        if kind == effects.NONEMPTY_SET:
-            return effects.NESet(payload)
-        return _dist_to_computation(payload, kind)
+        return row(payload)
 
     return table_fn
 
@@ -404,23 +371,54 @@ def quantifier_family(
 # document loading
 
 
+_VALUE_TYPES = (bool, int, float, str)
+
+
 def _load_value(v) -> Value:
-    if isinstance(v, (bool, int, float, str)):
+    if isinstance(v, _VALUE_TYPES):
         return v
     raise SchemaError(f"{v!r} is not a universe value")
+
+
+def _number(raw) -> Optional[float]:
+    """A JSON number as a float; None for anything else, booleans and
+    integers too large for a float included."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        return float(raw)
+    except OverflowError:
+        return None
 
 
 def _finite_bound(raw, which):
     if raw is None:
         return -math.inf if which == "lo" else math.inf
-    if isinstance(raw, str) and raw in ("-inf", "inf"):
-        return float(raw)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    raise SchemaError(f"bad interval bound {raw!r}")
+    bound = float(raw) if raw in ("-inf", "inf") else _number(raw)
+    if bound is None:
+        raise SchemaError(f"bad interval bound {raw!r}")
+    return bound
 
 
-def _load_domain(name: str, spec, monad_kind: str) -> Domain:
+def _load_weights(name: str, weights, values) -> dict:
+    if not isinstance(weights, dict):
+        raise SchemaError(f"sort {name!r}: weights must be a map or \"mean\"")
+    table = {}
+    for v in values:
+        # JSON object keys are strings; fall back for numeric values
+        raw = weights.get(v) if v in weights else weights.get(str(v))
+        if raw is None:
+            raise SchemaError(f"sort {name!r}: missing weight for {v!r}")
+        w = _number(raw)
+        if w is None or not math.isfinite(w) or w < 0:
+            raise SchemaError(f"sort {name!r}: weight {raw!r} is not a finite number >= 0")
+        table[v] = w
+    if all(w == 0.0 for w in table.values()):
+        raise SchemaError(f"sort {name!r}: weights must not all be zero")
+    return table
+
+
+def _load_domain(name: str, spec, monad: Monad) -> Domain:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SchemaError(f"sort {name!r} needs a domain object with a 'kind'")
     kind = spec["kind"]
@@ -432,32 +430,19 @@ def _load_domain(name: str, spec, monad_kind: str) -> Domain:
             raise SchemaError(f"sort {name!r} has duplicate values")
         weights = spec.get("weights")
         if weights is not None and weights != "mean":
-            if not isinstance(weights, dict):
-                raise SchemaError(f"sort {name!r}: weights must be a map or \"mean\"")
-            table = {}
-            for v in values:
-                # JSON object keys are strings; fall back for numeric values
-                w = weights.get(v) if v in weights else weights.get(str(v))
-                if w is None:
-                    raise SchemaError(f"sort {name!r}: missing weight for {v!r}")
-                if not isinstance(w, (int, float)) or w < 0:
-                    raise SchemaError(f"sort {name!r}: bad weight {w!r}")
-                table[v] = float(w)
-            if all(w == 0.0 for w in table.values()):
-                raise SchemaError(f"sort {name!r}: weights must not all be zero")
-            weights = table
+            weights = _load_weights(name, weights, values)
         return EnumDomain(values, weights)
     if kind == "int_range":
         lo, hi = spec.get("lo"), spec.get("hi")
-        if not isinstance(lo, int) or not isinstance(hi, int):
+        if type(lo) is not int or type(hi) is not int:
             raise SchemaError(f"sort {name!r}: int_range needs integer lo/hi")
         if lo > hi:
             raise EmptyDomainError(f"sort {name!r}: empty integer range [{lo}, {hi}]")
         return IntRangeDomain(lo, hi)
     if kind == "real_interval":
-        if monad_kind != effects.SAMPLER:
+        if not monad.draws:
             raise FiniteOnlyError(
-                f"sort {name!r}: real intervals need the sampler kind, not {monad_kind!r}"
+                f"sort {name!r}: real intervals need the sampler kind, not {monad.kind!r}"
             )
         lo = _finite_bound(spec.get("lo"), "lo")
         hi = _finite_bound(spec.get("hi"), "hi")
@@ -474,15 +459,15 @@ def _load_domain(name: str, spec, monad_kind: str) -> Domain:
                 raise SchemaError(f"sort {name!r}: uniform density needs finite bounds")
             return RealIntervalDomain(lo, hi, UniformDensity())
         if dkind == "normal":
-            mu, sigma = density.get("mu"), density.get("sigma")
-            if not isinstance(mu, (int, float)) or not isinstance(sigma, (int, float)):
+            mu, sigma = _number(density.get("mu")), _number(density.get("sigma"))
+            if mu is None or sigma is None:
                 raise SchemaError(f"sort {name!r}: normal density needs mu and sigma")
             if not (math.isfinite(mu) and math.isfinite(sigma)):
                 raise SchemaError(f"sort {name!r}: normal density needs finite mu and sigma")
             if sigma <= 0:
                 raise SchemaError(f"sort {name!r}: normal density needs sigma > 0")
             truncated = math.isfinite(lo) or math.isfinite(hi)
-            return RealIntervalDomain(lo, hi, NormalDensity(float(mu), float(sigma), truncated))
+            return RealIntervalDomain(lo, hi, NormalDensity(mu, sigma, truncated))
         raise SchemaError(f"sort {name!r}: unknown density {dkind!r}")
     raise SchemaError(f"sort {name!r}: unknown domain kind {kind!r}")
 
@@ -492,47 +477,47 @@ def row_key(row_args) -> Tuple[Value, ...]:
     return tuple(_load_value(a) for a in row_args)
 
 
-def _load_ctable_payload(symbol: str, payload, monad_kind: str):
+def _parse_payload(payload):
+    """A ctable row's payload: a list of values (set form) as a frozenset,
+    or ``[[value, probability], ...]`` as a :class:`~effects.Dist`."""
     if not isinstance(payload, list) or not payload:
-        raise SchemaError(f"{symbol!r}: row payload must be a non-empty list")
-    set_form = not isinstance(payload[0], list)
-    if set_form:
-        values = frozenset(_load_value(v) for v in payload)
-        if monad_kind == effects.NONEMPTY_SET:
-            return values
-        if monad_kind == effects.IDENTITY:
-            if len(values) != 1:
-                raise SchemaError(
-                    f"{symbol!r}: classical rows must be deterministic, got {sorted(map(repr, values))}"
-                )
-            return next(iter(values))
-        raise SchemaError(f"{symbol!r}: value sets are only loadable under the lp kind")
-    try:
-        dist = effects.Dist((_load_value(v), p) for v, p in payload)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{symbol!r}: bad distribution row: {exc}") from exc
-    if monad_kind == effects.IDENTITY:
-        support = dist.support
-        if len(support) != 1:
-            raise SchemaError(f"{symbol!r}: classical rows must be deterministic")
-        return support[0]
-    if monad_kind == effects.NONEMPTY_SET:
-        raise SchemaError(
-            f"{symbol!r}: the lp kind needs set-valued rows (lists of values)"
-        )
-    return dist
+        raise ValueError("row payload must be a non-empty list")
+    if not isinstance(payload[0], list):
+        return frozenset(map(_load_value, payload))
+    # once per pair of every row: the common types are checked inline, and
+    # a pair that is not two items fails to unpack
+    for v, p in payload:
+        if type(p) is not float and _number(p) is None:
+            raise ValueError(f"probability {p!r} of {v!r} is not a number")
+        if type(v) not in _VALUE_TYPES:
+            _load_value(v)
+    return effects.Dist(payload)
 
 
-def _spec_rows(symbol: str, spec) -> list:
-    rows = spec.get("rows", [])
+def _rows(label: str, rows) -> list:
     if not isinstance(rows, list):
-        raise SchemaError(f"{symbol!r}: 'rows' must be a list")
+        raise SchemaError(f"{label}: 'rows' must be a list")
     return rows
+
+
+def load_ctable(label: str, rows, n_args: int, monad: Monad) -> CTable:
+    """The conditional table of document rows ``[args..., payload]``, each
+    payload stored as ``monad.load`` keeps it; ``label`` names the symbol
+    or network variable in errors."""
+    table = {}
+    for row in _rows(label, rows):
+        if not isinstance(row, list) or len(row) != n_args + 1:
+            raise SchemaError(f"{label}: rows need {n_args} arguments plus a payload")
+        try:
+            table[row_key(row[:-1])] = monad.load(_parse_payload(row[-1]))
+        except (SchemaError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{label}: bad row: {exc}") from exc
+    return CTable(table)
 
 
 def _load_table(symbol: str, spec, n_args: int, omega: bool):
     rows = {}
-    for row in _spec_rows(symbol, spec):
+    for row in _rows(repr(symbol), spec.get("rows", [])):
         if not isinstance(row, list) or len(row) != n_args + 1:
             raise SchemaError(f"{symbol!r}: rows need {n_args} arguments plus a result")
         result = row[-1]
@@ -542,23 +527,13 @@ def _load_table(symbol: str, spec, n_args: int, omega: bool):
     return TableFunc(rows)
 
 
-def _load_ctable(symbol: str, spec, n_args: int, monad_kind: str):
-    rows = {}
-    for row in _spec_rows(symbol, spec):
-        if not isinstance(row, list) or len(row) != n_args + 1:
-            raise SchemaError(f"{symbol!r}: rows need {n_args} arguments plus a payload")
-        rows[row_key(row[:-1])] = _load_ctable_payload(symbol, row[-1], monad_kind)
-    return CTable(rows)
-
-
 def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
     """Load a JSON interpretation document against a signature.
 
     ``doc`` may be the document text or an already-parsed object.  Every
     sort and every symbol of the signature must be covered.
     """
-    if monad_kind not in effects.MONAD_KINDS:
-        raise KindMismatchError(f"unknown monad kind {monad_kind!r}")
+    monad = effects.monad(monad_kind)
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -575,7 +550,7 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
     for name in sig.sorts:
         if name not in sort_section:
             raise MissingSymbolError(f"no domain for sort {name!r}")
-        sorts[name] = _load_domain(name, sort_section[name], monad_kind)
+        sorts[name] = _load_domain(name, sort_section[name], monad)
     for name in set(sort_section) - sig.sorts:
         raise SchemaError(f"domain for undeclared sort {name!r}")
 
@@ -595,61 +570,46 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
             out[name] = load_one(name, spec, arity)
         return out
 
-    def load_func(name, spec, arity):
-        args = arity[0]
+    def load_plain(name, spec, args, omega):
+        """A function (``omega`` False) or predicate: a table or a builtin."""
+        what, builtins = ("predicate", _BUILTIN_PREDS) if omega else ("function", _BUILTIN_FUNCS)
         kind = spec.get("kind")
         if kind == "table":
-            return _load_table(name, spec, len(args), omega=False)
+            return _load_table(name, spec, len(args), omega)
         if kind == "builtin":
             bname = spec.get("name")
-            if bname not in _BUILTIN_FUNCS:
-                raise SchemaError(f"{name!r}: unknown builtin function {bname!r}")
-            if _BUILTIN_FUNCS[bname][0] != len(args):
+            if bname not in builtins:
+                raise SchemaError(f"{name!r}: unknown builtin {what} {bname!r}")
+            if builtins[bname][0] != len(args):
                 raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")
             return BuiltinFunc(bname)
-        raise SchemaError(f"{name!r}: function kind must be 'table' or 'builtin'")
+        raise SchemaError(f"{name!r}: {what} kind must be 'table' or 'builtin'")
 
-    def load_pred(name, spec, args):
-        kind = spec.get("kind")
-        if kind == "table":
-            return _load_table(name, spec, len(args), omega=True)
-        if kind == "builtin":
-            bname = spec.get("name")
-            if bname not in _BUILTIN_PREDS:
-                raise SchemaError(f"{name!r}: unknown builtin predicate {bname!r}")
-            if _BUILTIN_PREDS[bname][0] != len(args):
-                raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")
-            return BuiltinFunc(bname)
-        raise SchemaError(f"{name!r}: predicate kind must be 'table' or 'builtin'")
-
-    def load_stoch(name, spec, arity):
-        args = arity[0]  # arity is (arg sorts, result sort or None)
+    def load_stoch(name, spec, args):
         kind = spec.get("kind")
         if kind == "ctable":
-            return _load_ctable(name, spec, len(args), monad_kind)
+            return load_ctable(repr(name), spec.get("rows", []), len(args), monad)
         if kind == "builtin":
             bname = spec.get("name")
             if bname not in _BUILTIN_STOCH:
                 raise SchemaError(f"{name!r}: unknown stochastic builtin {bname!r}")
             if _BUILTIN_STOCH[bname] != len(args):
                 raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")
-            if bname in _CONTINUOUS_BUILTINS and monad_kind != effects.SAMPLER:
+            if bname in _CONTINUOUS_BUILTINS and not monad.draws:
                 raise FiniteOnlyError(
                     f"{name!r}: builtin {bname!r} needs the sampler kind, not {monad_kind!r}"
                 )
             return BuiltinStoch(bname)
         raise SchemaError(f"{name!r}: computational kind must be 'ctable' or 'builtin'")
 
-    def load_mpred(name, spec, args):
-        return load_stoch(name, spec, (args, None))
-
+    # function arities are (arg sorts, result sort), predicate arities arg sorts
     return Interpretation(
         kind=monad_kind,
         sorts=sorts,
-        funcs=section("funcs", sig.funcs, load_func),
-        mfuncs=section("mfuncs", sig.mfuncs, load_stoch),
-        preds=section("preds", sig.preds, lambda n, s, a: load_pred(n, s, a)),
-        mpreds=section("mpreds", sig.mpreds, lambda n, s, a: load_mpred(n, s, a)),
+        funcs=section("funcs", sig.funcs, lambda n, s, a: load_plain(n, s, a[0], False)),
+        mfuncs=section("mfuncs", sig.mfuncs, lambda n, s, a: load_stoch(n, s, a[0])),
+        preds=section("preds", sig.preds, lambda n, s, a: load_plain(n, s, a, True)),
+        mpreds=section("mpreds", sig.mpreds, load_stoch),
     )
 
 

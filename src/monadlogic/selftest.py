@@ -38,20 +38,7 @@ def random_computation(rng: random.Random, kind: str, values=_CARRIER_3):
         return effects.Pure(rng.choice(values))
     if kind == effects.NONEMPTY_SET:
         return effects.NESet(rng.sample(values, rng.randint(1, len(values))))
-    if kind == effects.DISTRIBUTION:
-        return _random_dist(rng, values)
-    dist = _random_dist(rng, values)
-
-    def draw(key: RandomKey):
-        u = key.uniform(0)
-        acc = 0.0
-        for v, p in dist.pairs:
-            acc += p
-            if u < acc:
-                return v
-        return dist.pairs[-1][0]
-
-    return effects.Sampler(draw)
+    return effects.monad(kind).row(_random_dist(rng, values))
 
 
 def random_kleisli(rng: random.Random, kind: str, values=_CARRIER_3):

@@ -104,14 +104,16 @@ class Network:
 def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation):
     """Read the ``network`` section of an interpretation document.
 
-    Each entry carries its conditional table inline; loading registers a
-    fresh computational symbol per variable and returns the network plus
-    the extended signature and interpretation.
+    Each entry carries its conditional table inline, loaded as a ctable
+    is (``model.load_ctable``); loading registers a fresh computational
+    symbol per variable and returns the network plus the extended
+    signature and interpretation.
     """
     section = doc.get("network")
     if not isinstance(section, dict) or not isinstance(section.get("vars"), list):
         raise SchemaError("network section needs a 'vars' list")
     entries = section["vars"]
+    monad = effects.monad(interp.kind)
     net_vars = []
     new_mfuncs = dict(sig.mfuncs)
     new_impls = dict(interp.mfuncs)
@@ -140,22 +142,9 @@ def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation)
             raise SchemaError(f"network symbol {mfunc!r} collides with the signature")
         parent_sorts = tuple(seen[p] for p in parents)
         new_mfuncs[mfunc] = (parent_sorts, sort)
-        table = {}
-        rows = entry.get("rows", [])
-        if not isinstance(rows, list):
-            raise SchemaError(f"network variable {name!r}: 'rows' must be a list")
-        for row in rows:
-            if not isinstance(row, list) or len(row) != len(parents) + 1:
-                raise SchemaError(
-                    f"network variable {name!r}: rows need {len(parents)} parent values "
-                    "plus a distribution"
-                )
-            try:
-                dist = effects.Dist((v, p) for v, p in row[-1])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"network variable {name!r}: bad row: {exc}") from exc
-            table[model.row_key(row[:-1])] = dist
-        new_impls[mfunc] = model.CTable(table)
+        new_impls[mfunc] = model.load_ctable(
+            f"network variable {name!r}", entry.get("rows", []), len(parents), monad
+        )
         seen[name] = sort
         net_vars.append(NetworkVar(name, sort, parents, mfunc))
     if not net_vars:

@@ -282,6 +282,19 @@ def test_console_entry_point(demo_dir):
     assert proc.returncode == 0 and proc.stdout == "value=0.5\n"
 
 
+def test_eval_leaves_the_law_suites_unimported(demo_dir):
+    src = str(demo_dir.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["eval", "--sig", str(demo_dir / "mnist.sig.json"),
+            "--interp", str(demo_dir / "mnist.interp.json"),
+            "--framework", "dist", "--algebra", "product", "--formula", "top"]
+    code = (f"import sys; from monadlogic.cli import main; main({argv!r}); "
+            "print('monadlogic.selftest' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "value=1.0\nFalse\n"
+
+
 def test_wmc_formula_file(capsys, demo_dir, tmp_path):
     formula_path = tmp_path / "query.formula"
     formula_path.write_text("eq(x1, 1) & eq(x2, 1)\n")

@@ -4,14 +4,17 @@ The semantics is one set of clauses over a monad value and a truth
 algebra.  Per-kind behaviour belongs to the monad (``effects.Monad``) and
 quantifier behaviour to the algebra (``TruthAlgebra.forall``/``exists``),
 so ``semantics.py`` never compares against a monad kind and
-``algebra.aggregate`` never tests an algebra's name.
+``algebra.aggregate`` never tests an algebra's name.  The monad also reads
+an interpretation's table rows and ``bernoulli`` coins, and says whether
+continuous sorts and builtins are allowed (``draws``), so ``model.py``
+never compares against a monad kind either.
 """
 
 import ast
 import inspect
 import textwrap
 
-from monadlogic import algebra, semantics
+from monadlogic import algebra, model, semantics
 
 KINDS = {"IDENTITY", "NONEMPTY_SET", "DISTRIBUTION", "SAMPLER", "monad_kind"}
 
@@ -40,6 +43,10 @@ def ladder_tests(source):
 
 def test_semantics_compares_against_no_monad_kind_or_algebra_name():
     assert ladder_tests(inspect.getsource(semantics)) == []
+
+
+def test_model_compares_against_no_monad_kind():
+    assert ladder_tests(inspect.getsource(model)) == []
 
 
 def test_aggregate_tests_no_algebra_name():

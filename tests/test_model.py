@@ -212,6 +212,48 @@ class TestLoading:
         )
         assert ok.sorts["S"].weights == {"a": 0.5, "b": 0.5}
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, True, 10**400],
+                             ids=["nan", "inf", "true", "huge_int"])
+    def test_weights_must_be_finite_numbers(self, weight):
+        sig = parse_signature('{"sorts": ["S"]}')
+        spec = {"kind": "enum", "values": ["a", "b"], "weights": {"a": weight, "b": 1}}
+        with pytest.raises(SchemaError, match="'S'"):
+            load_interpretation({"sorts": {"S": spec}}, sig, DISTRIBUTION)
+
+    @pytest.mark.parametrize("lo, hi", [(False, True), (0, True), (False, 1)])
+    def test_int_range_bounds_are_not_booleans(self, lo, hi):
+        sig = parse_signature('{"sorts": ["S"]}')
+        spec = {"kind": "int_range", "lo": lo, "hi": hi}
+        with pytest.raises(SchemaError, match="'S'"):
+            load_interpretation({"sorts": {"S": spec}}, sig, IDENTITY)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "real_interval", "lo": 0, "hi": 10**400},
+        {"kind": "real_interval", "density": {"kind": "normal", "mu": 10**400, "sigma": 1}},
+        {"kind": "real_interval", "density": {"kind": "normal", "mu": True, "sigma": 1}},
+    ])
+    def test_interval_numbers_must_be_numbers_that_fit_a_float(self, spec):
+        sig = parse_signature('{"sorts": ["R"]}')
+        with pytest.raises(SchemaError, match="'R'|10000"):
+            load_interpretation({"sorts": {"R": spec}}, sig, SAMPLER)
+
+    @pytest.mark.parametrize("kind", [DISTRIBUTION, SAMPLER])
+    @pytest.mark.parametrize("payload", [
+        [[True, "0.5"], [False, "0.5"]],
+        [[True, True]],
+        [[0, 10**400], [1, 0]],
+    ])
+    def test_row_probabilities_must_be_numbers(self, payload, kind):
+        sig = parse_signature(
+            json.dumps({"sorts": ["S"], "mfuncs": {"m": {"args": [], "result": "S"}}})
+        )
+        doc = {
+            "sorts": {"S": {"kind": "enum", "values": [0, 1]}},
+            "mfuncs": {"m": {"kind": "ctable", "rows": [[payload]]}},
+        }
+        with pytest.raises(SchemaError, match="'m'"):
+            load_interpretation(doc, sig, kind)
+
 
 class TestBuiltins:
     @pytest.fixture()

@@ -157,6 +157,19 @@ class TestNetworkLoading:
         with pytest.raises(SchemaError):
             load_network(doc, sig, interp)
 
+    @pytest.mark.parametrize("payload", [
+        [[None, 0.7], [1, 0.3]],
+        [[1, "0.3"], [0, "0.7"]],
+        [[1, True]],
+    ])
+    def test_row_values_and_probabilities_checked(self, demo_doc, demo_text, payload):
+        sig = parse_signature(demo_text("wmc.sig.json"))
+        doc = json.loads(json.dumps(demo_doc("wmc.interp.json")))
+        doc["network"]["vars"][0]["rows"] = [[payload]]
+        interp = load_interpretation(doc, sig, DISTRIBUTION)
+        with pytest.raises(SchemaError, match="network variable 'x1'"):
+            load_network(doc, sig, interp)
+
     @pytest.mark.parametrize(
         "field,value",
         [

@@ -25,6 +25,10 @@ Randomness is never global: every draw is a pure function of a
 batch at a time: a batch is a list of 64-bit key *states*, plain ints
 derived with the same splitmix64 arithmetic as :meth:`RandomKey.child`
 (:func:`child_states`), and a sampler maps it to the list of its draws.
+The batch functions pack a batch into one int, a 128-bit lane per state
+whose upper half absorbs every carry and product, so a whole batch takes
+one step with a few big-int operations and each lane ends bit-for-bit
+where the scalar :class:`RandomKey` ends.
 :func:`realize` feeds ``CHUNK`` draws per batch, so memory stays bounded
 whatever the budget.
 """
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -58,6 +64,7 @@ _UNIFORM_DENOM = 2.0**64 + 1.0
 _SNAP_TOL = 1e-9
 
 CHUNK = 1024  # draws per batch in realize
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _mix(z: int) -> int:
@@ -119,64 +126,90 @@ class RandomKey:
         return f"RandomKey(seed={self.seed}, path={self.path})"
 
 
-# batch arithmetic over key states; each loop inlines the splitmix64
-# finalizer of _mix, since these are the per-draw hot paths
+# batch arithmetic over key states.  A batch of n states is one int with a
+# 128-bit lane per state: state i sits in bits 128i to 128i + 63 and the
+# upper half of its lane starts at zero.  splitmix64 then runs on every
+# state at once, a few big-int operations per step.  No lane carries into
+# the next: every step masks each lane back below 2**64, so a sum of two
+# lane values stays below 2**65 and a product with a 64-bit constant below
+# 2**128, and the bits a right shift brings in from the next lane land
+# above bit 63, where the next mask drops them.  The arithmetic is exact:
+# each lane ends where RandomKey.child and RandomKey.uniform end.
+
+
+def _pack(states: Iterable[int]) -> Tuple[int, int]:
+    """A batch of 64-bit states as one lane-packed int, and its size."""
+    words = array("Q", states)
+    n = len(words)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    lanes = array("Q", bytes(16 * n))
+    lanes[::2] = words
+    return int.from_bytes(lanes, "little"), n
+
+
+def _unpack(z: int, n: int) -> List[int]:
+    """The low 64 bits of each of the ``n`` lanes of ``z``."""
+    words = array("Q", z.to_bytes(16 * n, "little"))[::2]
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
+
+
+def _repeat(word: int, n: int) -> int:
+    """``word`` reduced mod 2**64 in the low half of each of ``n`` lanes."""
+    return int.from_bytes((word & _MASK).to_bytes(16, "little") * n, "little")
+
+
+def _mix_lanes(z: int, inc: int, mask: int) -> int:
+    """``_mix((s + i) & _MASK)`` in every lane, for a lane ``s`` of ``z``
+    and the lane ``i`` of ``inc``; ``mask`` is ``_repeat(_MASK, n)``."""
+    z = (z + inc) & mask
+    z = (z ^ (z >> 30)) & mask
+    z = z * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) & mask
+    z = z * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _children(states: Iterable[int], inc: int) -> List[int]:
+    """``_mix((s + inc) & _MASK)`` for every state ``s`` of a batch."""
+    z, n = _pack(states)
+    return _unpack(_mix_lanes(z, _repeat(inc, n), _repeat(_MASK, n)), n)
 
 
 def child_states(states: Sequence[int], index: int) -> List[int]:
     """The states of ``RandomKey.child(index)`` for every state of a batch."""
-    inc = (index + 1) * _GAMMA
-    out = []
-    append = out.append
-    for s in states:
-        z = (s + inc) & _MASK
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        append(z ^ (z >> 31))
-    return out
+    return _children(states, (index + 1) * _GAMMA)
 
 
 def draw_states(key: RandomKey, start: int, stop: int) -> List[int]:
     """The states of ``key.child(i)`` for ``start <= i < stop``."""
-    state = key.state
-    return child_states((state + i * _GAMMA for i in range(start, stop)), 0)
+    z, n = _pack(range(start, stop))
+    # lane i holds i * _GAMMA, below 2**128 - 2**64, so the increment (the
+    # key's state plus child 0's _GAMMA) carries into no other lane
+    return _unpack(_mix_lanes(z * _GAMMA, _repeat(key.state + _GAMMA, n), _repeat(_MASK, n)), n)
 
 
 def item_states(states: Sequence[int], m: int) -> List[int]:
     """The states of the ``m`` items of a quantifier at every state of a
     batch, row by row.  Item ``j`` sits at child 0 taken ``m - 1 - j``
     times, then child 1 unless ``j`` is 0: the key tree of the left-nested
-    fold ``((v0 op v1) op v2) ...``."""
-    inc0, inc1 = _GAMMA, 2 * _GAMMA
-    out = []
-    for s in states:
-        row = []
-        for _ in range(m - 1):
-            z = (s + inc1) & _MASK
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-            row.append(z ^ (z >> 31))
-            z = (s + inc0) & _MASK
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-            s = z ^ (z >> 31)
-        row.append(s)
-        row.reverse()
-        out += row
+    fold ``((v0 op v1) op v2) ...``.  Each step walks every row at once."""
+    z, n = _pack(states)
+    mask = _repeat(_MASK, n)
+    inc0, inc1 = _repeat(_GAMMA, n), _repeat(2 * _GAMMA, n)
+    out = [0] * (n * m)
+    for j in range(m - 1, 0, -1):
+        out[j::m] = _unpack(_mix_lanes(z, inc1, mask), n)
+        z = _mix_lanes(z, inc0, mask)
+    out[0::m] = _unpack(z, n)
     return out
 
 
 def uniforms(states: Sequence[int], index: int = 0) -> List[float]:
     """``RandomKey.uniform(index)`` at every state of a batch."""
-    inc = (index + 1) * _DRAW_SALT
-    out = []
-    append = out.append
-    for s in states:
-        z = (s + inc) & _MASK
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        append(((z ^ (z >> 31)) + 1.0) / _UNIFORM_DENOM)
-    return out
+    return [(z + 1.0) / _UNIFORM_DENOM for z in _children(states, (index + 1) * _DRAW_SALT)]
 
 
 def normals(states: Sequence[int], mu: float, sigma: float) -> List[float]:

@@ -29,6 +29,7 @@ from .errors import (
     ContinuousUnsupportedError,
     CyclicParentsError,
     FiniteOnlyError,
+    KindMismatchError,
     MissingTableRowError,
     SchemaError,
     UnknownVariableError,
@@ -206,7 +207,15 @@ def wmc_bruteforce(
 
     Chain-rule weights come from the same conditional tables the bind
     chain uses; the query is evaluated classically (0/1) per valuation.
+    The tables must hold distributions, as they do when the network was
+    loaded under the ``distribution`` or ``sampler`` kind.
     """
+    for var in network.vars:
+        if not all(isinstance(row, effects.Dist) for row in interp.mfuncs[var.mfunc].rows.values()):
+            raise KindMismatchError(
+                f"wmc_bruteforce weighs distribution rows, but network variable {var.name!r} "
+                f"was loaded under the {interp.kind!r} kind"
+            )
     classical = semantics.make_framework(effects.IDENTITY, make_algebra("boolean"))
     query = semantics.compile_formula(formula, classical, interp)
     names = [v.name for v in network.vars]

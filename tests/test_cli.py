@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -440,3 +441,53 @@ class TestSamplerFold:
         assert 0.0 < float(estimate.removeprefix("estimate=")) < 1.0
         assert float(stderr.removeprefix("stderr=")) > 0.0
         assert (samples, seed) == (f"samples={points}", "seed=1")
+
+
+def mutants(text, count, seed):
+    """``count`` seeded copies of ``text``, each with one or two
+    characters inserted, deleted or replaced."""
+    rng = random.Random(seed)
+    alphabet = "01x. ():=,[]&|!->~"
+    out = []
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randrange(len(chars) + 1)
+            edit = rng.choice(("insert", "delete", "replace") if at < len(chars) else ("insert",))
+            if edit == "insert":
+                chars.insert(at, rng.choice(alphabet))
+            elif edit == "delete":
+                del chars[at]
+            else:
+                chars[at] = rng.choice(alphabet)
+        out.append("".join(chars))
+    return out
+
+
+class TestFuzz:
+    """Mutated demo formulas: every run exits 0, 1 or 2 without a traceback."""
+
+    def check(self, capsys, argv):
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as exc:  # name the input that escaped main
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+
+    @pytest.mark.parametrize("name, framework, extra", [
+        ("weather", "sampler", ("--samples", "20", "--seed", "3")),
+        ("traffic", "dist", ()),
+        ("traffic", "sampler", ("--samples", "20", "--seed", "3")),
+    ], ids=["weather-sampler", "traffic-dist", "traffic-sampler"])
+    def test_eval(self, capsys, demo_dir, name, framework, extra):
+        text = (demo_dir / f"{name}.formula").read_text().strip()
+        for formula in mutants(text, 150, f"{name}:{framework}"):
+            self.check(capsys, eval_args(demo_dir, name, framework, "product", formula, *extra))
+
+    def test_wmc_oracle(self, capsys, demo_dir):
+        for formula in mutants("eq(x1, 1) & eq(x2, 1)", 150, "wmc"):
+            self.check(capsys, (
+                "wmc", "--sig", str(demo_dir / "wmc.sig.json"),
+                "--interp", str(demo_dir / "wmc.interp.json"),
+                "--formula", formula, "--oracle",
+            ))

@@ -16,6 +16,7 @@ from monadlogic import (
     RandomKey,
     Sampler,
     bind,
+    effects,
     realize,
     unit,
 )
@@ -197,3 +198,58 @@ class TestRealize:
         individual = [c.sample(key.child(i)) for i in reversed(range(n))]
         batch_hits = realize(c, budget=n, key=key).value * n
         assert round(batch_hits) == sum(reversed(individual))
+
+
+MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+SALT = 0xD1B54A32D192ED03
+
+
+def batch_of(n, seed=11):
+    """``n`` states: 0, 1 and 2**64 - 1, then states ``s`` that
+    ``s + (index + 1) * increment`` carries past 2**64 for indices 0-3,
+    then seeded random ones."""
+    rng = random.Random(seed)
+    edges = [0, 1, MASK]
+    for k in range(1, 5):
+        for inc in (GAMMA, SALT):
+            edges += [-k * inc & MASK, (-k * inc + 1) & MASK, (-k * inc - 1) & MASK]
+    return (edges + [rng.getrandbits(64) for _ in range(n)])[:n]
+
+
+def item_chain(state, m):
+    """The quantifier item keys of one state, walked with ``RandomKey.child``."""
+    walk = [RandomKey.from_state(state)]
+    for _ in range(m - 1):
+        walk.append(walk[-1].child(0))
+    return [walk[m - 1].state] + [walk[m - 1 - j].child(1).state for j in range(1, m)]
+
+
+class TestBatchKeys:
+    """The packed batch key arithmetic against the scalar ``RandomKey``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025, 8100])
+    def test_children_and_uniforms(self, n):
+        states = batch_of(n)
+        keys = [RandomKey.from_state(s) for s in states]
+        for index in range(4):
+            assert effects.child_states(states, index) == [k.child(index).state for k in keys]
+            assert effects.uniforms(states, index) == [k.uniform(index) for k in keys]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1025])
+    def test_normals(self, n):
+        states = batch_of(n)
+        want = [RandomKey.from_state(s).normal(0.25, 1.5) for s in states]
+        assert effects.normals(states, 0.25, 1.5) == want
+
+    @pytest.mark.parametrize("gap", [1, 2, GAMMA, effects.CHUNK * GAMMA - 1])
+    def test_draw_states_near_the_top(self, gap):
+        key = RandomKey.from_state(-gap & MASK)
+        for start, stop in [(0, 0), (0, 1), (0, effects.CHUNK), (effects.CHUNK, 2 * effects.CHUNK + 3)]:
+            assert effects.draw_states(key, start, stop) == [key.child(i).state for i in range(start, stop)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 90])
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_item_states(self, m, n):
+        states = batch_of(n)
+        assert effects.item_states(states, m) == [x for s in states for x in item_chain(s, m)]

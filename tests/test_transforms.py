@@ -26,6 +26,7 @@ from monadlogic import (
 from monadlogic.errors import (
     ContinuousUnsupportedError,
     CyclicParentsError,
+    KindMismatchError,
     SchemaError,
     UnknownVariableError,
 )
@@ -283,6 +284,20 @@ class TestWmc:
         expected = 0.3 + 0.7 * (1.0 - 0.5)
         assert abs(wmc_bruteforce(network, interp2, f) - expected) <= 1e-12
         assert calls == [f]
+
+    @pytest.mark.parametrize("kind, payload", [
+        pytest.param(NONEMPTY_SET, lambda pairs: [v for v, _ in pairs], id="set-rows"),
+        pytest.param(IDENTITY, lambda pairs: [max(pairs, key=lambda vp: vp[1])[0]], id="point-rows"),
+    ])
+    def test_bruteforce_rejects_rows_of_another_kind(self, demo_doc, demo_text, kind, payload):
+        sig = parse_signature(demo_text("wmc.sig.json"))
+        doc = demo_doc("wmc.interp.json")
+        for var in doc["network"]["vars"]:
+            var["rows"] = [row[:-1] + [payload(row[-1])] for row in var["rows"]]
+        network, sig2, interp2 = load_network(doc, sig, load_interpretation(doc, sig, kind))
+        f = parse_formula("eq(x1, 1)", sig2, free=network.free)
+        with pytest.raises(KindMismatchError, match=repr(kind)):
+            wmc_bruteforce(network, interp2, f)
 
     def test_random_networks_match_bruteforce(self):
         rng = random.Random(2025)

@@ -22,15 +22,16 @@ table rows and ``bernoulli`` coins become its computations.
 Randomness is never global: every draw is a pure function of a
 :class:`RandomKey`, so sampling is reproducible bit-for-bit given
 ``(seed, sample index)`` regardless of evaluation order.  Samplers draw a
-batch at a time: a batch is a list of 64-bit key *states*, plain ints
-derived with the same splitmix64 arithmetic as :meth:`RandomKey.child`
-(:func:`child_states`), and a sampler maps it to the list of its draws.
-The batch functions pack a batch into one int, a 128-bit lane per state
-whose upper half absorbs every carry and product, so a whole batch takes
-one step with a few big-int operations and each lane ends bit-for-bit
-where the scalar :class:`RandomKey` ends.
-:func:`realize` feeds ``CHUNK`` draws per batch, so memory stays bounded
-whatever the budget.
+batch at a time: a batch is a :class:`Lanes` value, 64-bit key *states*
+packed into one int, a 128-bit lane per state whose upper half absorbs
+every carry and product.  The states are derived with the same splitmix64
+arithmetic as :meth:`RandomKey.child` (:func:`child_states`), a whole
+batch a step at a time with a few big-int operations, so each lane ends
+bit-for-bit where the scalar :class:`RandomKey` ends; a sampler maps a
+batch to the list of its draws.  A batch stays packed from
+:func:`draw_states` through the evaluator to the draws, which read it out
+once (:func:`uniforms`).  :func:`realize` feeds ``CHUNK`` draws per batch,
+so memory stays bounded whatever the budget.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
@@ -60,7 +62,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _DRAW_SALT = 0xD1B54A32D192ED03
 _PROB_EPS = 1e-15
 _SUM_TOL = 1e-9
-_UNIFORM_DENOM = 2.0**64 + 1.0
+_UNIFORM_DENOM = 2.0**64 + 1.0  # rounds to 2.0**64
+# mixed values of 2**64 - 1024 and above round up to a uniform of 1.0, so
+# they are clamped below
+_UNIFORM_TOP = (1 << 64) - 1025
 _SNAP_TOL = 1e-9
 
 CHUNK = 1024  # draws per batch in realize
@@ -112,7 +117,8 @@ class RandomKey:
 
     def uniform(self, index: int = 0) -> float:
         """Deterministic uniform draw in (0, 1), one per (key, index)."""
-        return (_mix((self._state + (index + 1) * _DRAW_SALT) & _MASK) + 1.0) / _UNIFORM_DENOM
+        z = _mix((self._state + (index + 1) * _DRAW_SALT) & _MASK)
+        return (min(z, _UNIFORM_TOP) + 1.0) / _UNIFORM_DENOM
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0, index: int = 0) -> float:
         """Deterministic normal draw via the Box-Muller transform."""
@@ -127,43 +133,119 @@ class RandomKey:
 
 
 # batch arithmetic over key states.  A batch of n states is one int with a
-# 128-bit lane per state: state i sits in bits 128i to 128i + 63 and the
-# upper half of its lane starts at zero.  splitmix64 then runs on every
-# state at once, a few big-int operations per step.  No lane carries into
-# the next: every step masks each lane back below 2**64, so a sum of two
-# lane values stays below 2**65 and a product with a 64-bit constant below
-# 2**128, and the bits a right shift brings in from the next lane land
-# above bit 63, where the next mask drops them.  The arithmetic is exact:
-# each lane ends where RandomKey.child and RandomKey.uniform end.
+# 128-bit lane per state (a Lanes value): state i sits in bits 128i to
+# 128i + 63 and the upper half of its lane is zero.  splitmix64 then runs
+# on every state at once, a few big-int operations per step.  No lane
+# carries into the next: every step masks each lane back below 2**64, so a
+# sum of two lane values stays below 2**65 and a product with a 64-bit
+# constant below 2**128, and the bits a right shift brings in from the next
+# lane land above bit 63, where the next mask drops them.  The arithmetic
+# is exact: each lane ends where RandomKey.child and RandomKey.uniform end.
+# A batch stays packed from draw_states to the draws; only uniforms, a
+# per-key Sampler(fn) and a split of a batch over several samplers read
+# its states out.
 
 
-def _pack(states: Iterable[int]) -> Tuple[int, int]:
-    """A batch of 64-bit states as one lane-packed int, and its size."""
-    words = array("Q", states)
-    n = len(words)
+class _Repeats(dict):
+    """Lane-repeated words for one batch size, each built on first use:
+    ``repeats[w]`` holds the 64-bit word ``w`` in every lane.  Batches
+    derived from one another with the same size share one."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, word: int) -> int:
+        value = self[word] = int.from_bytes(word.to_bytes(16, "little") * self.n, "little")
+        return value
+
+
+def _words(z: int, n: int) -> array:
+    """The ``2n`` 64-bit words of the ``n`` lanes of ``z`` as stored, in
+    little-endian byte order: word ``2i`` is lane ``i``'s state.  Words move
+    between such arrays as they are; ``_native`` reads them as numbers."""
+    return array("Q", z.to_bytes(16 * n, "little"))
+
+
+def _native(words: array) -> array:
+    """Stored words as numbers (and numbers as stored words), in place."""
     if _BIG_ENDIAN:
         words.byteswap()
-    lanes = array("Q", bytes(16 * n))
+    return words
+
+
+def _from_states(words: array) -> int:
+    """The lane int whose lane ``i`` holds the stored word ``words[i]``."""
+    lanes = array("Q", bytes(16 * len(words)))
     lanes[::2] = words
-    return int.from_bytes(lanes, "little"), n
+    return int.from_bytes(lanes, "little")
 
 
-def _unpack(z: int, n: int) -> List[int]:
-    """The low 64 bits of each of the ``n`` lanes of ``z``."""
-    words = array("Q", z.to_bytes(16 * n, "little"))[::2]
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words.tolist()
+class Lanes:
+    """A batch of 64-bit key states, packed one per 128-bit lane of ``z``.
 
+    It reads as a sequence of int states (``len``, iteration,
+    :meth:`tolist`); a slice is a batch again, and :meth:`take` and
+    :meth:`split` gather lanes by index.  ``repeats`` holds the
+    lane-repeated words of its size and passes to the batches derived
+    from it.
+    """
 
-def _repeat(word: int, n: int) -> int:
-    """``word`` reduced mod 2**64 in the low half of each of ``n`` lanes."""
-    return int.from_bytes((word & _MASK).to_bytes(16, "little") * n, "little")
+    __slots__ = ("z", "n", "repeats")
+
+    def __init__(self, z: int, n: int, repeats: _Repeats = None):
+        self.z, self.n = z, n
+        self.repeats = _Repeats(n) if repeats is None else repeats
+
+    @classmethod
+    def of(cls, states: Iterable[int]) -> "Lanes":
+        """Pack 64-bit states."""
+        words = _native(array("Q", states))
+        return cls(_from_states(words), len(words))
+
+    def tolist(self) -> List[int]:
+        return _native(_words(self.z, self.n)[::2]).tolist()
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tolist())
+
+    def __getitem__(self, part: slice) -> "Lanes":
+        start, stop, step = part.indices(self.n)
+        if step != 1:
+            raise ValueError("batch slices take every lane")
+        if stop <= start:
+            return Lanes(0, 0)
+        if stop - start == self.n:
+            return self
+        z = self.z >> (128 * start)
+        if stop < self.n:
+            z &= (1 << (128 * (stop - start))) - 1
+        return Lanes(z, stop - start)
+
+    def take(self, indices: Sequence[int]) -> "Lanes":
+        """The batch of lanes ``indices``, in that order."""
+        return self.split((indices,))[0]
+
+    def split(self, groups: Iterable[Sequence[int]]) -> List["Lanes"]:
+        """``take`` for each group of indices, reading the lanes once."""
+        states = _words(self.z, self.n)[::2]
+        return [
+            Lanes(_from_states(array("Q", map(states.__getitem__, idx))), len(idx))
+            for idx in groups
+        ]
+
+    def __repr__(self) -> str:
+        return f"Lanes({self.tolist()!r})"
 
 
 def _mix_lanes(z: int, inc: int, mask: int) -> int:
     """``_mix((s + i) & _MASK)`` in every lane, for a lane ``s`` of ``z``
-    and the lane ``i`` of ``inc``; ``mask`` is ``_repeat(_MASK, n)``."""
+    and the lane ``i`` of ``inc``; ``mask`` is ``_MASK`` in every lane."""
     z = (z + inc) & mask
     z = (z ^ (z >> 30)) & mask
     z = z * 0xBF58476D1CE4E5B9 & mask
@@ -172,47 +254,54 @@ def _mix_lanes(z: int, inc: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def _children(states: Iterable[int], inc: int) -> List[int]:
-    """``_mix((s + inc) & _MASK)`` for every state ``s`` of a batch."""
-    z, n = _pack(states)
-    return _unpack(_mix_lanes(z, _repeat(inc, n), _repeat(_MASK, n)), n)
+def _step(states: Lanes, inc: int) -> int:
+    """The lane int of ``_mix((s + inc) & _MASK)`` for every state ``s``."""
+    repeats = states.repeats
+    return _mix_lanes(states.z, repeats[inc & _MASK], repeats[_MASK])
 
 
-def child_states(states: Sequence[int], index: int) -> List[int]:
+def child_states(states: Lanes, index: int) -> Lanes:
     """The states of ``RandomKey.child(index)`` for every state of a batch."""
-    return _children(states, (index + 1) * _GAMMA)
+    return Lanes(_step(states, (index + 1) * _GAMMA), states.n, states.repeats)
 
 
-def draw_states(key: RandomKey, start: int, stop: int) -> List[int]:
+def draw_states(key: RandomKey, start: int, stop: int) -> Lanes:
     """The states of ``key.child(i)`` for ``start <= i < stop``."""
-    z, n = _pack(range(start, stop))
+    indices = Lanes.of(range(start, stop))
+    repeats = indices.repeats
     # lane i holds i * _GAMMA, below 2**128 - 2**64, so the increment (the
     # key's state plus child 0's _GAMMA) carries into no other lane
-    return _unpack(_mix_lanes(z * _GAMMA, _repeat(key.state + _GAMMA, n), _repeat(_MASK, n)), n)
+    inc = repeats[(key.state + _GAMMA) & _MASK]
+    return Lanes(_mix_lanes(indices.z * _GAMMA, inc, repeats[_MASK]), indices.n, repeats)
 
 
-def item_states(states: Sequence[int], m: int) -> List[int]:
+def item_states(states: Lanes, m: int) -> Lanes:
     """The states of the ``m`` items of a quantifier at every state of a
     batch, row by row.  Item ``j`` sits at child 0 taken ``m - 1 - j``
     times, then child 1 unless ``j`` is 0: the key tree of the left-nested
     fold ``((v0 op v1) op v2) ...``.  Each step walks every row at once."""
-    z, n = _pack(states)
-    mask = _repeat(_MASK, n)
-    inc0, inc1 = _repeat(_GAMMA, n), _repeat(2 * _GAMMA, n)
-    out = [0] * (n * m)
+    if m == 1:
+        return states
+    z, n, repeats = states.z, states.n, states.repeats
+    mask, inc0, inc1 = repeats[_MASK], repeats[_GAMMA], repeats[2 * _GAMMA & _MASK]
+    out = array("Q", bytes(8 * n * m))
     for j in range(m - 1, 0, -1):
-        out[j::m] = _unpack(_mix_lanes(z, inc1, mask), n)
+        out[j::m] = _words(_mix_lanes(z, inc1, mask), n)[::2]
         z = _mix_lanes(z, inc0, mask)
-    out[0::m] = _unpack(z, n)
+    out[0::m] = _words(z, n)[::2]
+    return Lanes(_from_states(out), n * m)
+
+
+def uniforms(states: Lanes, index: int = 0) -> List[float]:
+    """``RandomKey.uniform(index)`` at every state of a batch."""
+    mixed = _native(_words(_step(states, (index + 1) * _DRAW_SALT), states.n)[::2])
+    out = [(x + 1.0) / _UNIFORM_DENOM for x in mixed]
+    if 1.0 in out:  # rare enough to convert the batch again, clamped
+        out = [(min(x, _UNIFORM_TOP) + 1.0) / _UNIFORM_DENOM for x in mixed]
     return out
 
 
-def uniforms(states: Sequence[int], index: int = 0) -> List[float]:
-    """``RandomKey.uniform(index)`` at every state of a batch."""
-    return [(z + 1.0) / _UNIFORM_DENOM for z in _children(states, (index + 1) * _DRAW_SALT)]
-
-
-def normals(states: Sequence[int], mu: float, sigma: float) -> List[float]:
+def normals(states: Lanes, mu: float, sigma: float) -> List[float]:
     """``RandomKey.normal(mu, sigma)`` at every state of a batch."""
     log, sqrt, cos, tau = math.log, math.sqrt, math.cos, 2.0 * math.pi
     return [
@@ -394,9 +483,10 @@ _NO_CONST = object()
 class Sampler(Computation):
     """A seeded sampling procedure, drawn a batch of key states at a time.
 
-    ``draw`` maps a list of key states to the list of their draws; each
-    draw is a pure function of its state.  ``Sampler(fn)`` wraps a per-key
-    procedure ``fn(RandomKey)``, and ``sample(key)`` draws a single key.
+    ``draw`` maps a batch of key states (:class:`Lanes`) to the list of
+    their draws; each draw is a pure function of its state.
+    ``Sampler(fn)`` wraps a per-key procedure ``fn(RandomKey)``, and
+    ``sample(key)`` draws a single key.
     Constant samplers (the image of ``unit``) are flagged so ``bind`` may
     apply the left-unit monad law directly instead of consuming keys.
     """
@@ -408,7 +498,7 @@ class Sampler(Computation):
         self,
         fn: Callable[[RandomKey], Value] = None,
         const=_NO_CONST,
-        draw: Callable[[Sequence[int]], list] = None,
+        draw: Callable[[Lanes], list] = None,
     ):
         if const is not _NO_CONST:
             draw = lambda states: [const] * len(states)
@@ -423,7 +513,7 @@ class Sampler(Computation):
         return self.const is not _NO_CONST
 
     def sample(self, key: RandomKey) -> Value:
-        return self.draw((key.state,))[0]
+        return self.draw(Lanes.of((key.state,)))[0]
 
     def __repr__(self):
         if self.is_const:
@@ -435,7 +525,7 @@ _TRUE_SAMPLER = Sampler(const=True)
 _FALSE_SAMPLER = Sampler(const=False)
 
 
-def draw_grouped(samplers: Sequence[Sampler], states: Sequence[int]) -> list:
+def draw_grouped(samplers: Sequence[Sampler], states: Lanes) -> list:
     """Draw row ``i`` of a batch from ``samplers[i]``, each distinct
     sampler once for all of its rows."""
     if not samplers:
@@ -443,12 +533,12 @@ def draw_grouped(samplers: Sequence[Sampler], states: Sequence[int]) -> list:
     first = samplers[0]
     if samplers.count(first) == len(samplers):
         return first.draw(states)
-    groups: dict = {}
+    groups = defaultdict(list)  # samplers hash by identity
     for i, sampler in enumerate(samplers):
-        groups.setdefault(id(sampler), (sampler, []))[1].append(i)
+        groups[sampler].append(i)
     out = [None] * len(states)
-    for sampler, idx in groups.values():
-        for i, v in zip(idx, sampler.draw([states[i] for i in idx])):
+    for (sampler, idx), part in zip(groups.items(), states.split(groups.values())):
+        for i, v in zip(idx, sampler.draw(part)):
             out[i] = v
     return out
 
@@ -463,12 +553,16 @@ class Realization:
     seed: int = None
 
 
-def draws(c: Sampler, budget: int, key: RandomKey) -> Iterator[list]:
-    """Draw ``c`` at ``key.child(i)`` for ``i < budget``, ``CHUNK`` at a time."""
+def _check_budget(budget: int, key: RandomKey) -> None:
     if budget is None or budget < 1:
         raise BudgetMissingError("sampler realization needs a sample budget N >= 1")
     if key is None:
         raise BudgetMissingError("sampler realization needs a RandomKey")
+
+
+def draws(c: Sampler, budget: int, key: RandomKey) -> Iterator[list]:
+    """Draw ``c`` at ``key.child(i)`` for ``i < budget``, ``CHUNK`` at a time."""
+    _check_budget(budget, key)
     for start in range(0, budget, CHUNK):
         yield c.draw(draw_states(key, start, min(start + CHUNK, budget)))
 
@@ -719,14 +813,11 @@ class _Sampler(Monad):
 
     def realize(self, c, budget=None, key=None):
         """An estimate from ``budget`` draws keyed by (seed, sample index),
-        with its binomial standard error."""
+        with its binomial standard error.  A constant sampler draws nothing,
+        but needs the same budget and key."""
         if c.is_const:
-            return Realization(
-                1.0 if basis(c.const) else 0.0,
-                stderr=0.0,
-                samples=budget,
-                seed=key.seed if key is not None else None,
-            )
+            _check_budget(budget, key)
+            return Realization(1.0 if basis(c.const) else 0.0, stderr=0.0, samples=budget, seed=key.seed)
         hits = 0
         for values in draws(c, budget, key):
             for v in values:

@@ -18,8 +18,10 @@ Nothing is compiled away or restructured: the staged function mirrors the
 inductive definition clause by clause, one clause per formula constructor
 for every monad.  Each clause is staged as a *batch denotation*
 ``fn(cols, n, states)`` that maps ``n`` rows, held as value columns, to
-their truth values; ``states`` holds one 64-bit key state per row when the
-rows are draws of the sampler, and is None otherwise.
+their truth values; ``states`` is an :class:`~monadlogic.effects.Lanes`
+batch of one 64-bit key state per row when the rows are draws of the
+sampler, and None otherwise.  A drawing clause derives its operands' and
+its body's batches from it without unpacking it.
 
 What differs between the monads is held by the monad value.  A bind
 looks up each row's computation, asks the monad to ``expand`` the rows by

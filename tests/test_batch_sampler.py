@@ -123,7 +123,9 @@ def cli_line(capsys, demo_dir, formula_args, samples, seed):
 
 
 class TestPinnedOutputs:
-    """Lines printed by the per-draw sampler this batch path replaced."""
+    """Lines recorded from earlier samplers: the README weather demo and the
+    450-point quantifier from the per-draw one the batch path replaced, the
+    rest from the batch path before its key states stayed packed."""
 
     def test_readme_weather_demo(self, capsys, demo_dir):
         code, out, _ = cli_line(
@@ -147,6 +149,80 @@ class TestPinnedOutputs:
         assert err.startswith("error: ParamOutOfRange: ")
 
 
+    def test_mnist_demo(self, capsys, demo_dir):
+        code = main([
+            "eval", "--sig", str(demo_dir / "mnist.sig.json"),
+            "--interp", str(demo_dir / "mnist.interp.json"),
+            "--framework", "sampler", "--algebra", "product",
+            "--formula", "[n1 := classify(im1)][n2 := classify(im2)] eq(add(n1, n2), 1)",
+            "--samples", "20000", "--seed", "7", "--machine",
+        ])
+        assert (code, capsys.readouterr().out) == (
+            0, "estimate=0.49675000000000002 stderr=0.0035354592169900647 samples=20000 seed=7\n")
+
+    def test_hidden_markov_chain(self, capsys, tmp_path):
+        # step and emit build one computation per hidden state, so each
+        # batch is split over several samplers
+        code, out = doc_line(capsys, tmp_path, CHAIN_SIG, CHAIN_INTERP,
+                             "[h1 := init()][h2 := step(h1)][h3 := step(h2)][o := emit(h3)] eqo(o, 1)",
+                             30000, 5)
+        assert (code, out) == (
+            0, "estimate=0.47053333333333336 stderr=0.0028817339430486149 samples=30000 seed=5\n")
+
+    def test_bernoulli_normal_and_uniform_real(self, capsys, tmp_path):
+        code, out = doc_line(capsys, tmp_path, MIX_SIG, MIX_INTERP,
+                             "[h := bernoulli(0.3)][t := normal(h, 1)][u := uniform_real(-1, 2)] "
+                             "(eq(h, 1) & lt(t, u)) | (eq(h, 0) & gt(t, u))",
+                             20000, 3)
+        assert (code, out) == (
+            0, "estimate=0.36235000000000001 stderr=0.0033989151026467255 samples=20000 seed=3\n")
+
+
+CHAIN_SIG = {
+    "sorts": ["H", "O"],
+    "mfuncs": {"init": {"args": [], "result": "H"}, "step": {"args": ["H"], "result": "H"},
+               "emit": {"args": ["H"], "result": "O"}},
+    "preds": {"eqo": {"args": ["O", "O"]}},
+}
+CHAIN_INTERP = {
+    "sorts": {"H": {"kind": "enum", "values": [0, 1, 2]}, "O": {"kind": "enum", "values": [0, 1]}},
+    "mfuncs": {
+        "init": {"kind": "ctable", "rows": [[[[0, 0.5], [1, 0.3], [2, 0.2]]]]},
+        "step": {"kind": "ctable", "rows": [[0, [[0, 0.6], [1, 0.3], [2, 0.1]]],
+                                            [1, [[0, 0.2], [1, 0.5], [2, 0.3]]],
+                                            [2, [[0, 0.1], [1, 0.2], [2, 0.7]]]]},
+        "emit": {"kind": "ctable", "rows": [[0, [[0, 0.9], [1, 0.1]]],
+                                            [1, [[0, 0.5], [1, 0.5]]],
+                                            [2, [[0, 0.2], [1, 0.8]]]]},
+    },
+    "preds": {"eqo": {"kind": "builtin", "name": "eq"}},
+}
+MIX_SIG = {
+    "sorts": ["Num"],
+    "mfuncs": {"bernoulli": {"args": ["Num"], "result": "Num"},
+               "normal": {"args": ["Num", "Num"], "result": "Num"},
+               "uniform_real": {"args": ["Num", "Num"], "result": "Num"}},
+    "preds": {p: {"args": ["Num", "Num"]} for p in ("eq", "lt", "gt")},
+}
+MIX_INTERP = {
+    "sorts": {"Num": {"kind": "real_interval", "lo": None, "hi": None}},
+    "mfuncs": {n: {"kind": "builtin", "name": n} for n in ("bernoulli", "normal", "uniform_real")},
+    "preds": {p: {"kind": "builtin", "name": p} for p in ("eq", "lt", "gt")},
+}
+
+
+def doc_line(capsys, tmp_path, sig, interp, formula, samples, seed):
+    """Exit code and stdout of a sampler ``eval --machine`` on documents."""
+    (tmp_path / "sig.json").write_text(json.dumps(sig))
+    (tmp_path / "interp.json").write_text(json.dumps(interp))
+    code = main([
+        "eval", "--sig", str(tmp_path / "sig.json"), "--interp", str(tmp_path / "interp.json"),
+        "--framework", "sampler", "--algebra", "product", "--formula", formula,
+        "--samples", str(samples), "--seed", str(seed), "--machine",
+    ])
+    return code, capsys.readouterr().out
+
+
 class TestBatches:
     def test_realize_draws_fixed_size_chunks(self):
         sizes = []
@@ -161,9 +237,9 @@ class TestBatches:
     def test_batch_states_follow_the_key_tree(self):
         key = RandomKey(8).child(2)
         states = effects.draw_states(key, 3, 6)
-        assert states == [key.child(i).state for i in range(3, 6)]
-        assert effects.child_states(states, 1) == [key.child(i).child(1).state for i in range(3, 6)]
-        assert effects.uniforms(states, 2) == [key.child(i).uniform(2) for i in range(3, 6)]
+        assert list(states) == [key.child(i).state for i in range(3, 6)]
+        assert list(effects.child_states(states, 1)) == [key.child(i).child(1).state for i in range(3, 6)]
+        assert list(effects.uniforms(states, 2)) == [key.child(i).uniform(2) for i in range(3, 6)]
 
 
 class TestMemory:

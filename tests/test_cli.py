@@ -115,6 +115,14 @@ class TestEval:
         )
         assert code == 1 and "BudgetMissing" in err
 
+    def test_zero_budget_rejected_when_nothing_draws(self, capsys, demo_dir):
+        code, out, err = run(
+            capsys,
+            *eval_args(demo_dir, "weather", "sampler", "product", "forall w:World. eq(hd(w), hd(w))",
+                       "--samples", "0", "--seed", "1", "--machine"),
+        )
+        assert (code, out) == (1, "") and err.startswith("error: BudgetMissing: ")
+
     def test_open_formula_rejected(self, capsys, demo_dir):
         code, _, err = run(
             capsys, *eval_args(demo_dir, "mnist", "dist", "product", "eq(n, 1)"),

@@ -21,6 +21,7 @@ from monadlogic import (
     unit,
 )
 from monadlogic.algebra import LP3
+from monadlogic.effects import Lanes
 from monadlogic.errors import BudgetMissingError, KindMismatchError
 from monadlogic.selftest import dist_close, random_computation, random_kleisli
 
@@ -171,6 +172,12 @@ class TestRealize:
         out = realize(unit(SAMPLER, True), budget=100, key=RandomKey(1))
         assert out.value == 1.0 and out.stderr == 0.0
 
+    @pytest.mark.parametrize("budget, key", [(None, RandomKey(1)), (0, RandomKey(1)), (5, None)])
+    def test_constant_sampler_needs_a_budget_and_key(self, budget, key):
+        # a constant draws nothing, yet its report counts samples
+        with pytest.raises(BudgetMissingError):
+            realize(unit(SAMPLER, True), budget=budget, key=key)
+
     def test_sampler_estimate_and_stderr(self):
         c = Sampler(lambda key: key.uniform() < 0.3)
         out = realize(c, budget=10000, key=RandomKey(42))
@@ -231,25 +238,104 @@ class TestBatchKeys:
     @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025, 8100])
     def test_children_and_uniforms(self, n):
         states = batch_of(n)
+        lanes = Lanes.of(states)
         keys = [RandomKey.from_state(s) for s in states]
         for index in range(4):
-            assert effects.child_states(states, index) == [k.child(index).state for k in keys]
-            assert effects.uniforms(states, index) == [k.uniform(index) for k in keys]
+            assert list(effects.child_states(lanes, index)) == [k.child(index).state for k in keys]
+            assert list(effects.uniforms(lanes, index)) == [k.uniform(index) for k in keys]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 1025])
     def test_normals(self, n):
         states = batch_of(n)
         want = [RandomKey.from_state(s).normal(0.25, 1.5) for s in states]
-        assert effects.normals(states, 0.25, 1.5) == want
+        assert list(effects.normals(Lanes.of(states), 0.25, 1.5)) == want
 
     @pytest.mark.parametrize("gap", [1, 2, GAMMA, effects.CHUNK * GAMMA - 1])
     def test_draw_states_near_the_top(self, gap):
         key = RandomKey.from_state(-gap & MASK)
         for start, stop in [(0, 0), (0, 1), (0, effects.CHUNK), (effects.CHUNK, 2 * effects.CHUNK + 3)]:
-            assert effects.draw_states(key, start, stop) == [key.child(i).state for i in range(start, stop)]
+            assert list(effects.draw_states(key, start, stop)) == [key.child(i).state for i in range(start, stop)]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 90])
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_item_states(self, m, n):
         states = batch_of(n)
-        assert effects.item_states(states, m) == [x for s in states for x in item_chain(s, m)]
+        want = [x for s in states for x in item_chain(s, m)]
+        assert list(effects.item_states(Lanes.of(states), m)) == want
+
+
+class TestLanes:
+    """A packed batch of key states read back, sliced and gathered."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 8100])
+    def test_round_trip(self, n):
+        states = batch_of(n)
+        lanes = Lanes.of(states)
+        assert len(lanes) == n
+        assert lanes.tolist() == states and list(lanes) == states
+
+    @pytest.mark.parametrize("start, stop", [(0, 5), (1020, 1025), (7, 7), (9, 3), (300, 700),
+                                             (0, 1025), (1024, 1025), (-5, None)])
+    def test_slices(self, start, stop):
+        states = batch_of(1025)
+        part = Lanes.of(states)[start:stop]
+        assert part.tolist() == states[start:stop] and len(part) == len(states[start:stop])
+        # a slice is a batch of its own size
+        packed = Lanes.of(states[start:stop])
+        assert effects.child_states(part, 1).tolist() == effects.child_states(packed, 1).tolist()
+
+    def test_take_repeated_and_out_of_order(self):
+        states = batch_of(40)
+        lanes = Lanes.of(states)
+        indices = [39, 0, 5, 5, 17, 0, 39, 2]
+        assert lanes.take(indices).tolist() == [states[i] for i in indices]
+        assert lanes.take([]).tolist() == []
+        groups = [[3, 1], [], [0, 0, 39]]
+        assert [p.tolist() for p in lanes.split(groups)] == [lanes.take(g).tolist() for g in groups]
+
+    def test_both_children_from_one_batch(self):
+        # a bind or connective derives child 0 and child 1 from one lane int,
+        # handing on its lane-repeated words; the batch itself is unchanged
+        states = batch_of(1025)
+        lanes = Lanes.of(states)
+        left, right = effects.child_states(lanes, 0), effects.child_states(lanes, 1)
+        assert lanes.tolist() == states
+        assert left.repeats is lanes.repeats and right.repeats is lanes.repeats
+        assert left.tolist() == effects.child_states(Lanes.of(states), 0).tolist()
+        assert right.tolist() == effects.child_states(Lanes.of(states), 1).tolist()
+        assert right.tolist() == [RandomKey.from_state(s).child(1).state for s in states]
+
+
+def unxorshift(y, k):
+    """The x with ``x ^ (x >> k) == y``."""
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def unmix(z):
+    """The state whose splitmix64 finalizer gives ``z``."""
+    z = unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK
+    z = unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK
+    return unxorshift(z, 30)
+
+
+class TestUniformRange:
+    """Mixed values near 2**64 round to 1.0 unless clamped."""
+
+    @pytest.mark.parametrize("mixed", [MASK, MASK - 1, (1 << 64) - 1024])
+    def test_top_mixed_values_stay_below_one(self, mixed):
+        state = (unmix(mixed) - SALT) & MASK  # uniform(0) mixes state + SALT
+        assert effects._mix((state + SALT) & MASK) == mixed
+        u = RandomKey.from_state(state).uniform(0)
+        assert 0.0 < u < 1.0 and u == 1.0 - 2.0**-53
+        batch = Lanes.of([1, state, 2])
+        assert effects.uniforms(batch, 0) == [RandomKey.from_state(s).uniform(0) for s in (1, state, 2)]
+        assert 0.0 < effects.uniforms(batch, 0)[1] < 1.0
+        assert effects.monad(SAMPLER).coin(1.0).draw(Lanes.of([state])) == [1]
+
+    def test_values_below_the_clamp_keep_their_uniform(self):
+        mixed = (1 << 64) - 1025
+        state = (unmix(mixed) - SALT) & MASK
+        assert RandomKey.from_state(state).uniform(0) == (float(mixed) + 1.0) / 2.0**64

@@ -423,7 +423,10 @@ def _load_domain(name: str, spec, monad: Monad) -> Domain:
         raise SchemaError(f"sort {name!r} needs a domain object with a 'kind'")
     kind = spec["kind"]
     if kind == "enum":
-        values = tuple(_load_value(v) for v in spec.get("values", []))
+        values = spec.get("values", [])
+        if not isinstance(values, list):
+            raise SchemaError(f"sort {name!r}: enum values must be a list")
+        values = tuple(map(_load_value, values))
         if not values:
             raise EmptyDomainError(f"sort {name!r} has an empty enumeration")
         if len(set(values)) != len(values):
@@ -547,6 +550,8 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
 
     sorts = {}
     sort_section = doc.get("sorts", {})
+    if not isinstance(sort_section, dict):
+        raise SchemaError("'sorts' must be an object")
     for name in sig.sorts:
         if name not in sort_section:
             raise MissingSymbolError(f"no domain for sort {name!r}")
@@ -578,7 +583,7 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
             return _load_table(name, spec, len(args), omega)
         if kind == "builtin":
             bname = spec.get("name")
-            if bname not in builtins:
+            if not isinstance(bname, str) or bname not in builtins:
                 raise SchemaError(f"{name!r}: unknown builtin {what} {bname!r}")
             if builtins[bname][0] != len(args):
                 raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")
@@ -591,7 +596,7 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
             return load_ctable(repr(name), spec.get("rows", []), len(args), monad)
         if kind == "builtin":
             bname = spec.get("name")
-            if bname not in _BUILTIN_STOCH:
+            if not isinstance(bname, str) or bname not in _BUILTIN_STOCH:
                 raise SchemaError(f"{name!r}: unknown stochastic builtin {bname!r}")
             if _BUILTIN_STOCH[bname] != len(args):
                 raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")

@@ -30,28 +30,31 @@ sets, finite distributions), one draw at child 0 of the row's state under
 the sampler -- runs its body once on the expanded rows, and asks the monad
 to ``fold`` the values back into one per row: the single outcome, the
 union of members, the expectation in support order, or the draw itself.
-A quantifier extends each row by every element of its family and reduces
-each row's values with ``aggregate``; rows that are draws of the sampler
-hold basis values and fold them with the boolean table instead.
+A computational atom is the same clause with a body that embeds each
+outcome as a truth value.  A quantifier extends each row by every element
+of its family and reduces each row's values with ``aggregate``; rows that
+are draws of the sampler hold basis values and fold them with the boolean
+table instead.
 
 A node *draws* when the monad draws and the node holds a bind or a
-computational atom.  Every other node is a pure function of its free
-variables, so it computes each distinct restriction of its rows to them
-once.  Under the exact kinds no node draws: quantifier, bind and
-computational-atom nodes keep their values for as long as the denotation
-lives and compute only restrictions they have not met, which on the bind
-chains of weighted model counting turns path enumeration into variable
-elimination.  Under the sampler a draw-free subformula runs once per
-distinct restriction of each chunk of draws, and a computation is built
-once per distinct restriction of the rows to its arguments' variables.
+computational atom.  One rule memoizes: a draw-free function of some
+variables is run once per distinct restriction of its rows to them, and
+its table of values lives as long as the denotation.  The functions are a
+draw-free quantifier, bind or computational-atom node (of its free
+variables), a draw-free operand or body of a drawing node (of its free
+variables), and a drawing node's computations (of its arguments'
+variables).  A table that holds more than ``_KEPT`` values after a call
+starts over.  On the bind chains of weighted model counting the rule
+turns path enumeration into variable elimination.
 
 The sampler's key tree is the one a per-draw interpretation would use: a
 bind draws its outer value at child 0 and runs its body at child 1, a
-connective evaluates its left operand at child 0 and its right one at
-child 1, and the items of a quantifier follow the left-nested fold (item
-``j`` of ``m`` at child 0 taken ``m - 1 - j`` times, then child 1 unless
-``j`` is 0).  Interval points are fixed per compilation, at child 0 of
-the quantifier's position in the compile-time key tree.
+computational atom draws at the row's own state, a connective evaluates
+its left operand at child 0 and its right one at child 1, and the items
+of a quantifier follow the left-nested fold (item ``j`` of ``m`` at child
+0 taken ``m - 1 - j`` times, then child 1 unless ``j`` is 0).  Interval
+points are fixed per compilation, at child 0 of the quantifier's position
+in the compile-time key tree.
 
 The four supported pairings are classical (identity monad, boolean
 algebra), logic-of-paradox (non-empty sets, three-valued algebra),
@@ -155,8 +158,6 @@ def compile_formula(
                 return [top if b else bot for b in _apply_rows(run, arg_fns, cols, n)]
 
             return atom_fn, free, False
-        if isinstance(f, (syntax.MProp, syntax.MAtom)):
-            return comp_matom(f)
         if isinstance(f, syntax.Not):
             body, free, draws = comp(f.body, key)
             neg = alg.neg
@@ -165,63 +166,9 @@ def compile_formula(
             return comp_connective(f, key)
         if isinstance(f, (syntax.Forall, syntax.Exists)):
             return comp_quantifier(f, key)
-        if isinstance(f, syntax.Bind):
-            return comp_bind(f, key)
+        if isinstance(f, (syntax.Bind, syntax.MAtom, syntax.MProp)):
+            return comp_computation(f, key)
         raise TypeError(f"not a formula: {f!r}")
-
-    def computations(symbol, args):
-        """Each row's computation, ``fn(cols, n)``.  Rows reach an exact
-        bind or computational atom as distinct restrictions of its node, so
-        exact computations are built row by row.  Draws repeat their
-        arguments, so under the sampler a computation is built once per
-        distinct restriction of the rows to the arguments' variables, while
-        the table holds fewer than ``_KEPT_COMPUTATIONS``."""
-        arg_fns, free = _stage_terms(interp, args)
-        run = model.compile_computational(interp, symbol)
-        monad.accept(interp.kind, symbol)
-        build = partial(_apply_rows, run, arg_fns)
-        if not monad.draws:
-            return build, free
-        names, table = tuple(sorted(free)), {}
-
-        def lookup(cols, n):
-            keys, missing, sub = _new_rows(names, table, cols, n)
-            if len(table) + len(missing) > _KEPT_COMPUTATIONS:
-                table.clear()
-                keys, missing, sub = _new_rows(names, table, cols, n)
-            return _spread(table, keys, missing, build(sub, len(missing)) if missing else [])
-
-        return lookup, free
-
-    def comp_matom(f):
-        if isinstance(f, syntax.MProp):
-            symbol, args = f.name, ()
-        else:
-            symbol, args = f.mpred, f.args
-        lookup, free = computations(symbol, args)
-        draws = monad.draws
-        embed = alg.embed if monad.reads_rows else _no_classical_reading
-        expand, fold, pin = monad.expand, monad.fold, alg.pin
-        names, table = tuple(sorted(free)), None if draws else {}
-
-        def matom_fn(cols, n, states):
-            if table is not None:
-                keys, new, cols = _new_rows(names, table, cols, n)
-                n = len(new)
-            out = []
-            if n:
-                comps = lookup(cols, n)
-                if draws and states is None:
-                    out = [None] * n  # no draws: only the computations were wanted
-                else:
-                    rows, column = expand(comps, states)
-                    out = fold(rows, [embed(v) for v in column], pin)
-            if table is None:
-                return out
-            table.update(zip(new, out))
-            return list(map(table.__getitem__, keys))
-
-        return matom_fn, free, draws
 
     def comp_connective(f, key):
         left, left_free, left_draws = comp(f.left, _key_child(key, 0))
@@ -229,11 +176,10 @@ def compile_formula(
         op = {syntax.And: alg.conj, syntax.Or: alg.disj, syntax.Implies: alg.implies}[type(f)]
         draws = left_draws or right_draws
         if draws:
-            # a draw-free operand runs once per distinct restriction of the chunk
             if not left_draws:
-                left = _grouped(left, left_free)
+                left = _grouped(f.left, left, left_free)
             if not right_draws:
-                right = _grouped(right, right_free)
+                right = _grouped(f.right, right, right_free)
 
         def connective_fn(cols, n, states):
             left_states = right_states = None
@@ -283,41 +229,57 @@ def compile_formula(
                 ]
 
         free = body_free - {var}
-        names, table = tuple(sorted(free)), None if monad.draws else {}
+        names, table = tuple(free), None if draws else _Table(free)
 
         def quant_fn(cols, n, states):
             if table is not None:
-                keys, new, cols = _new_rows(names, table, cols, n)
+                keys, new, cols = table.new_rows(cols, n)
                 n = len(new)
             # rows in blocks, so a chunk of draws by many points stays small
             out = []
             for start in range(0, n, block):
-                sub = {name: col[start:start + block] for name, col in cols.items()}
+                sub = {name: cols[name][start:start + block] for name in names}
                 m = min(block, n - start)
                 sub_states = None if states is None else item_states(states[start:start + block], size)
-                out += reduce(body(_extended(sub, [points] * m, var, points * m), m * size, sub_states))
-            if table is None:
-                return out
-            table.update(zip(new, out))
-            return list(map(table.__getitem__, keys))
+                out += reduce(body(_extended(sub, names, [points] * m, var, points * m), m * size, sub_states))
+            return out if table is None else table.spread(keys, new, out)
 
         return quant_fn, free, draws
 
-    def comp_bind(f, key):
-        var = f.var
-        lookup, args_free = computations(f.mfunc, f.args)
-        body, body_free, body_draws = comp(f.body, _key_child(key, 0))
-        draws = monad.draws
-        if draws and not body_draws:
-            body = _grouped(body, body_free)
+    def comp_computation(f, key):
+        """A bind sequences a computation into its body with the Kleisli
+        extension.  A computational atom is the bind whose body embeds each
+        outcome as a truth value; it draws at the row's own state, where a
+        bind draws at child 0 and runs its body at child 1."""
+        draws, own_state = monad.draws, not isinstance(f, syntax.Bind)
+        if own_state:
+            symbol, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
+        else:
+            symbol, args = f.mfunc, f.args
+        arg_fns, args_free = _stage_terms(interp, args)
+        run = model.compile_computational(interp, symbol)
+        monad.accept(interp.kind, symbol)
+        lookup = partial(_apply_rows, run, arg_fns)
+        if draws:
+            # draws repeat their arguments: a computation per new restriction to them
+            lookup = partial(_Table(args_free).apply, lookup)
+        if own_state:
+            var, body_free, body_draws = _OUTCOME, _CLOSED, False
+            embed = alg.embed if monad.reads_rows else _no_classical_reading
+            body = lambda cols, n, states: list(map(embed, cols[_OUTCOME]))
+        else:
+            var = f.var
+            body, body_free, body_draws = comp(f.body, _key_child(key, 0))
+            if draws and not body_draws:
+                body = _grouped(f.body, body, body_free)
         expand, fold, pin = monad.expand, monad.fold, alg.pin
+        body_names = body_free - {var}
+        names, free = tuple(body_names), args_free | body_names
+        table = None if draws else _Table(free)
 
-        free = args_free | (body_free - {var})
-        names, table = tuple(sorted(free)), None if draws else {}
-
-        def bind_fn(cols, n, states):
+        def computation_fn(cols, n, states):
             if table is not None:
-                keys, new, cols = _new_rows(names, table, cols, n)
+                keys, new, cols = table.new_rows(cols, n)
                 n = len(new)
             out = []
             if n:
@@ -325,16 +287,14 @@ def compile_formula(
                 if draws and states is None:
                     out = [None] * n  # no draws: only the computations were wanted
                 else:
-                    rows, column = expand(comps, None if states is None else child_states(states, 0))
+                    outcome_states = states if own_state or states is None else child_states(states, 0)
                     body_states = child_states(states, 1) if body_draws else None
-                    values = body(_extended(cols, rows, var, column), len(column), body_states)
+                    rows, column = expand(comps, outcome_states)
+                    values = body(_extended(cols, names, rows, var, column), len(column), body_states)
                     out = fold(rows, values, pin)
-            if table is None:
-                return out
-            table.update(zip(new, out))
-            return list(map(table.__getitem__, keys))
+            return out if table is None else table.spread(keys, new, out)
 
-        return bind_fn, free, draws
+        return computation_fn, free, draws
 
     fn, free, draws = comp(f, key)
     names = tuple(sorted(free))
@@ -353,9 +313,10 @@ def compile_formula(
 
 
 _CLOSED: FrozenSet[str] = frozenset()
-# computations a bind or atom keeps; arguments read from draws of a
-# continuous sort are new on every draw, so the table starts over when full
-_KEPT_COMPUTATIONS = 4096
+# the column of a computational atom's outcomes, named by no variable
+_OUTCOME = object()
+# entries a table keeps from one call to the next
+_KEPT = 4096
 # rows a quantifier hands its body at once
 _BLOCK_ROWS = 1 << 14
 
@@ -371,54 +332,69 @@ def _no_classical_reading(v):
     )
 
 
-def _row_keys(names, cols):
-    """Each row's key on the named columns.  Keys pair each value with its
-    type, which keeps ``True``, ``1`` and ``1.0`` apart."""
-    columns = list(map(cols.__getitem__, names))
-    return zip(*columns, *map(map, [type] * len(columns), columns))
+class _Table:
+    """The values of a draw-free function of the variables ``free``, one
+    per distinct restriction of the rows to them.
 
-
-def _new_rows(names, table, cols, n):
-    """Group rows by their restriction to ``names`` for a node's table.
-
-    Returns every row's key, the keys not yet in ``table`` in the order
-    they first occur, and those restrictions as columns.  A draw-free
-    node's value depends only on the restriction, since a denotation reads
-    its free variables and nothing else.  Nodes call it from their own
-    clause rather than through a wrapper, so evaluation nests one Python
-    frame per node.
+    A row's key pairs each value with its type, which keeps ``True``,
+    ``1`` and ``1.0`` apart.  A call that leaves more than ``_KEPT``
+    entries starts the table over, so arguments read from continuous
+    draws, new on every draw, do not grow memory with the budget.  Nodes
+    call ``new_rows`` and ``spread`` from their own clause rather than
+    through a wrapper, so evaluation nests one Python frame per node.
     """
-    keys = list(_row_keys(names, cols)) if names else [()] * n
-    new = list(filterfalse(table.__contains__, dict.fromkeys(keys)))
-    return keys, new, dict(zip(names, zip(*new)))
+
+    __slots__ = ("names", "kept")
+
+    def __init__(self, free: FrozenSet[str]):
+        self.names = tuple(sorted(free))
+        self.kept: dict = {}
+
+    def new_rows(self, cols, n):
+        """Every row's key, the keys not kept yet in the order they first
+        occur, and those restrictions as columns."""
+        names = self.names
+        if names:
+            columns = list(map(cols.__getitem__, names))
+            keys = list(zip(*columns, *map(map, [type] * len(columns), columns)))
+        else:
+            keys = [()] * n
+        new = list(filterfalse(self.kept.__contains__, dict.fromkeys(keys)))
+        return keys, new, dict(zip(names, zip(*new)))
+
+    def spread(self, keys, new, out):
+        """Keep the values ``out`` of the ``new`` keys and give every row its value."""
+        kept = self.kept
+        kept.update(zip(new, out))
+        out = list(map(kept.__getitem__, keys))
+        if len(kept) > _KEPT:
+            kept.clear()
+        return out
+
+    def apply(self, fn, cols, n, *extra):
+        """Each row's value of ``fn(cols, n, *extra)``, run on the new rows only."""
+        keys, new, sub = self.new_rows(cols, n)
+        return self.spread(keys, new, fn(sub, len(new), *extra) if new else [])
 
 
-def _spread(table, keys, new, out):
-    """Keep the values ``out`` of the ``new`` keys and give every row its value."""
-    table.update(zip(new, out))
-    return list(map(table.__getitem__, keys))
+def _grouped(f: syntax.Formula, fn, free: FrozenSet[str]):
+    """The draw-free batch denotation ``fn`` of ``f``, run once per
+    distinct restriction of its rows to ``free``.  A quantifier keeps a
+    table of its own, so its denotation is returned as it is."""
+    if isinstance(f, (syntax.Forall, syntax.Exists)):
+        return fn
+    table = _Table(free)
+    return lambda cols, n, states: table.apply(fn, cols, n, None)
 
 
-def _grouped(fn, free: FrozenSet[str]):
-    """Run a draw-free batch denotation once per distinct restriction of
-    the rows of a call to ``free``."""
-    names = tuple(sorted(free))
-
-    def grouped(cols, n, states):
-        table: dict = {}
-        keys, new, sub = _new_rows(names, table, cols, n)
-        return _spread(table, keys, new, fn(sub, len(new), None) if new else [])
-
-    return grouped
-
-
-def _extended(cols, rows, var, column):
-    """The columns with row ``i`` repeated once per entry of ``rows[i]``
-    (once, when ``rows`` is None), plus ``column`` as ``var``."""
-    if rows is None:
-        return {**cols, var: column}
-    index = [i for i, row in enumerate(rows) for _ in row]
-    ext = {name: list(map(col.__getitem__, index)) for name, col in cols.items()}
+def _extended(cols, names, rows, var, column):
+    """The ``names`` columns with row ``i`` repeated once per entry of
+    ``rows[i]`` (once, when ``rows`` is None), plus ``column`` as ``var``."""
+    if rows is None or not names:
+        ext = {name: cols[name] for name in names}
+    else:
+        index = [i for i, row in enumerate(rows) for _ in row]
+        ext = {name: list(map(cols[name].__getitem__, index)) for name in names}
     ext[var] = column
     return ext
 

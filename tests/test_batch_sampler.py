@@ -243,12 +243,10 @@ class TestBatches:
 
 
 class TestMemory:
-    def test_continuous_bind_arguments_keep_memory_bounded(self, demo_text):
-        # the inner computation is new on every draw; keeping them all
-        # would grow memory with the budget
+    def peaks(self, demo_text, text):
         sig = parse_signature(demo_text("weather.sig.json"))
         interp = load_interpretation(json.loads(demo_text("weather.interp.json")), sig, SAMPLER)
-        f = parse_formula("[t := normal(0, 1)] [u := normal(t, 1)] gt(u, t)", sig)
+        f = parse_formula(text, sig)
         peaks = []
         for budget in (6000, 24000):
             tracemalloc.start()
@@ -257,4 +255,15 @@ class TestMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_continuous_bind_arguments_keep_memory_bounded(self, demo_text):
+        # the inner computation is new on every draw; keeping them all
+        # would grow memory with the budget
+        peaks = self.peaks(demo_text, "[t := normal(0, 1)] [u := normal(t, 1)] gt(u, t)")
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_draw_free_tables_keep_memory_bounded(self, demo_text):
+        # the bind body and its quantifier keep a value per draw of t
+        peaks = self.peaks(demo_text, "[t := normal(0, 1)] forall w:World. lt(hd(w), t)")
         assert peaks[1] < 1.5 * peaks[0], peaks

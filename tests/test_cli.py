@@ -499,3 +499,77 @@ class TestFuzz:
                 "--interp", str(demo_dir / "wmc.interp.json"),
                 "--formula", formula, "--oracle",
             ))
+
+
+# a replacement of each JSON type, drawn for a node of another type
+REPLACEMENTS = {
+    "number": (0, 1, -1, 2.5, 1e300),
+    "string": ("", "x", "eq", "enum", "builtin"),
+    "list": ([], [0], ["eq"], [[0, 1.0]], [1, 2]),
+    "object": ({}, {"kind": "enum"}, {"x": 1}),
+    "null": (None,),
+    "bool": (True, False),
+}
+
+
+def json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if value is None:
+        return "null"
+    return {str: "string", list: "list", dict: "object"}[type(value)]
+
+
+def json_paths(doc, path=()):
+    """The path of every node below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+def document_mutants(doc, count, seed):
+    """``count`` seeded copies of ``doc``, each with one node replaced by a
+    value of another JSON type."""
+    rng = random.Random(seed)
+    paths = list(json_paths(doc))
+    out = []
+    for _ in range(count):
+        path = rng.choice(paths)
+        copy = json.loads(json.dumps(doc))
+        parent = copy
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = rng.choice([t for t in REPLACEMENTS if t != json_type(parent[path[-1]])])
+        parent[path[-1]] = rng.choice(REPLACEMENTS[kind])
+        out.append(copy)
+    return out
+
+
+class TestDocumentFuzz:
+    """Demo interpretations with one node of another JSON type: every run
+    exits 0 or 1 without a traceback."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("weather", ("eval", "--framework", "sampler", "--algebra", "product",
+                     "--formula-file", "weather.formula", "--samples", "20", "--seed", "3")),
+        ("traffic", ("eval", "--framework", "dist", "--algebra", "product",
+                     "--formula-file", "traffic.formula")),
+        ("mnist", ("eval", "--framework", "dist", "--algebra", "product",
+                   "--formula", "[n1 := classify(im1)][n2 := classify(im2)] eq(add(n1, n2), 1)")),
+        ("wmc", ("wmc", "--formula", "eq(x1, 1) & eq(x2, 1)", "--oracle")),
+    ], ids=["weather", "traffic", "mnist", "wmc"])
+    def test_interpretation(self, capsys, demo_dir, tmp_path, name, argv):
+        argv = [str(demo_dir / a) if a.endswith(".formula") else a for a in argv]
+        doc = json.loads((demo_dir / f"{name}.interp.json").read_text())
+        path = tmp_path / f"{name}.interp.json"
+        for mutant in document_mutants(doc, 75, f"doc:{name}"):
+            path.write_text(json.dumps(mutant))
+            full = [*argv, "--sig", str(demo_dir / f"{name}.sig.json"), "--interp", str(path)]
+            try:
+                code, _, err = run(capsys, *full)
+            except Exception as exc:  # name the document that escaped main
+                pytest.fail(f"{json.dumps(mutant)} raised {exc!r}")
+            assert code in (0, 1) and "Traceback" not in err, (json.dumps(mutant), err)

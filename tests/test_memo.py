@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from monadlogic import (
     CTable,
     Dist,
     EnumDomain,
+    IntRangeDomain,
     Interpretation,
     TableFunc,
     eval_formula,
@@ -249,3 +251,47 @@ class TestOpenFormulas:
         f = parse_formula("forall y:S. r(x, y)", SIG, free={"x": "S"})
         with pytest.raises(OpenFormulaError, match="'x'"):
             eval_formula(f, framework(DISTRIBUTION), interp, {})
+
+
+class TestTableLifetimes:
+    def test_sampler_body_values_are_reused_across_chunks(self):
+        # the bind body reads only h, so it runs once per value of h for the
+        # whole budget, not once per chunk of draws
+        sig = Signature(
+            sorts=frozenset(("S",)), mfuncs={"m": ((), "S")}, preds={"r": ("S", "S")},
+        )
+        lookups = []
+        for budget in (1000, 5000):
+            rows = CountingRows({(a, b): a <= b for a in VALUES for b in VALUES})
+            interp = Interpretation(
+                kind=SAMPLER,
+                sorts={"S": EnumDomain(VALUES)},
+                mfuncs={"m": CTable({(): Dist(((0, 0.25), (1, 0.25), (2, 0.5)))})},
+                preds={"r": TableFunc(rows)},
+            )
+            f = parse_formula("[h := m()] forall x:S. r(x, h)", sig)
+            evaluate_sentence(f, framework(SAMPLER), interp, budget=budget, seed=4)
+            lookups.append(sum(rows.lookups.values()))
+        assert lookups == [9, 9]
+
+    def test_exact_tables_keep_memory_bounded(self):
+        # every valuation restricts to a new x; keeping them all would grow
+        # memory with the number of valuations
+        sig = Signature(sorts=frozenset(("S", "T")), preds={"r": ("S", "T")})
+        interp = Interpretation(
+            kind=DISTRIBUTION,
+            sorts={"S": IntRangeDomain(0, 19999), "T": EnumDomain((0, 1, 2))},
+            preds={"r": BuiltinFunc("lt")},
+        )
+        f = parse_formula("exists y:T. r(x, y)", sig, free={"x": "S"})
+        peaks = []
+        for count in (5000, 20000):
+            denotation = compile_formula(f, framework(DISTRIBUTION), interp)
+            tracemalloc.start()
+            try:
+                for x in range(count):
+                    assert denotation({"x": x}) == (1.0 if x < 2 else 0.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks

@@ -105,6 +105,42 @@ class TestLoading:
         with pytest.raises(EmptyDomainError):
             load_interpretation({"sorts": {"S": {"kind": "enum", "values": []}}}, sig, IDENTITY)
 
+    @pytest.mark.parametrize("section", [5, "S"], ids=["number", "string"])
+    def test_sorts_section_must_be_an_object(self, section):
+        sig = parse_signature('{"sorts": ["S"]}')
+        with pytest.raises(SchemaError, match="'sorts'"):
+            load_interpretation({"sorts": section}, sig, IDENTITY)
+
+    @pytest.mark.parametrize("values", [5, "ab", {"x": 1}], ids=["number", "string", "object"])
+    def test_enum_values_must_be_a_list(self, values):
+        sig = parse_signature('{"sorts": ["S"]}')
+        with pytest.raises(SchemaError, match="'S'"):
+            load_interpretation({"sorts": {"S": {"kind": "enum", "values": values}}}, sig, IDENTITY)
+
+    @pytest.mark.parametrize("section, name", [
+        ("funcs", "add"), ("preds", "eq"), ("mfuncs", "bernoulli"), ("mpreds", "bernoulli"),
+    ])
+    def test_builtin_name_must_be_a_string(self, section, name):
+        sig = parse_signature(json.dumps({
+            "sorts": ["S"],
+            "funcs": {"f": {"args": ["S", "S"], "result": "S"}},
+            "preds": {"p": {"args": ["S", "S"]}},
+            "mfuncs": {"m": {"args": ["S"], "result": "S"}},
+            "mpreds": {"q": {"args": ["S"]}},
+        }))
+        doc = {
+            "sorts": {"S": {"kind": "enum", "values": [0, 1]}},
+            "funcs": {"f": {"kind": "builtin", "name": "add"}},
+            "preds": {"p": {"kind": "builtin", "name": "eq"}},
+            "mfuncs": {"m": {"kind": "builtin", "name": "bernoulli"}},
+            "mpreds": {"q": {"kind": "builtin", "name": "bernoulli"}},
+        }
+        load_interpretation(doc, sig, DISTRIBUTION)
+        symbol = {"funcs": "f", "preds": "p", "mfuncs": "m", "mpreds": "q"}[section]
+        doc[section][symbol]["name"] = [name]
+        with pytest.raises(SchemaError, match=repr(symbol)):
+            load_interpretation(doc, sig, DISTRIBUTION)
+
     def test_duplicate_enum_values(self):
         sig = parse_signature('{"sorts": ["S"]}')
         with pytest.raises(SchemaError):

@@ -44,6 +44,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import BudgetMissingError, CarrierMismatchError, KindMismatchError
@@ -453,9 +454,12 @@ class Dist(Computation):
         norm = sum(kept.values())
         if len(kept) != len(acc):
             kept = {v: p / norm for v, p in kept.items()}
-        object.__setattr__(
-            self, "pairs", tuple(sorted(kept.items(), key=lambda vp: _sort_key(vp[0])))
-        )
+        if len(set(map(type, kept))) == 1:
+            # one value type: equal ranks leave the value to order the pairs
+            order = itemgetter(0)
+        else:
+            order = lambda vp: _sort_key(vp[0])
+        object.__setattr__(self, "pairs", tuple(sorted(kept.items(), key=order)))
 
     def prob(self, value: Value) -> float:
         for v, p in self.pairs:
@@ -622,6 +626,11 @@ class Monad:
             raise ValueError(f"value sets are only loadable under the lp kind, not {self.kind!r}")
         return row
 
+    def outcomes(self, rows) -> List[Value]:
+        """The values that stored rows can yield, every row's in turn:
+        here their supports."""
+        return [v for stored in rows for v, _ in stored.pairs]
+
     def realize(self, c: Computation, budget: int = None, key: RandomKey = None) -> Realization:
         return Realization(self.truth(c))
 
@@ -660,6 +669,9 @@ class _Identity(Monad):
     def row(self, stored):
         return Pure(stored)
 
+    def outcomes(self, rows):
+        return list(rows)
+
     def coin(self, p):
         if p in (0.0, 1.0):
             return Pure(int(p))
@@ -695,6 +707,9 @@ class _Set(Monad):
 
     def row(self, stored):
         return NESet(stored)
+
+    def outcomes(self, rows):
+        return [v for stored in rows for v in stored]
 
     def coin(self, p):
         return NESet({int(p)} if p in (0.0, 1.0) else {0, 1})

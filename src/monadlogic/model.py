@@ -136,6 +136,15 @@ class CTable:
     """
 
     rows: Dict[Tuple[Value, ...], object]
+    # the value fact of the rows' outcomes per monad, found on first use
+    facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def fact(self, monad: Monad) -> Optional[str]:
+        """The value fact of the union of every row's outcomes, as
+        ``monad`` reads the stored rows; worked out once per table."""
+        if monad not in self.facts:
+            self.facts[monad] = value_fact(monad.outcomes(self.rows.values()))
+        return self.facts[monad]
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,22 @@ class Interpretation:
     mfuncs: Dict[str, object] = field(default_factory=dict)
     preds: Dict[str, object] = field(default_factory=dict)
     mpreds: Dict[str, object] = field(default_factory=dict)
+
+
+# value facts: what the binder of a variable fixes about the values it
+# takes, at compile time.  A finite set of values is type-faithful when no
+# two of them are == with different types (as True, 1 and 1.0 are);
+# continuous values are new on every draw.  None is no fact.
+
+FAITHFUL = "faithful"
+CONTINUOUS = "continuous"
+
+
+def value_fact(values) -> Optional[str]:
+    """The value fact of finitely many ``values``: FAITHFUL when no two
+    of them are == with different types."""
+    typed = set(zip(values, map(type, values)))
+    return FAITHFUL if len({v for v, _ in typed}) == len(typed) else None
 
 
 # builtins
@@ -198,8 +223,9 @@ _BUILTIN_PREDS = {
     "ge": (2, lambda x, y: x >= y),
 }
 
-_BUILTIN_STOCH = {"bernoulli": 1, "normal": 2, "uniform_real": 2}
-_CONTINUOUS_BUILTINS = ("normal", "uniform_real")
+# arity and the value fact of the outcomes: bernoulli gives the ints 0
+# and 1, the others continuous draws
+_BUILTIN_STOCH = {"bernoulli": (1, FAITHFUL), "normal": (2, CONTINUOUS), "uniform_real": (2, CONTINUOUS)}
 
 
 def compile_function(interp: Interpretation, name: str):
@@ -330,6 +356,14 @@ def compile_computational(interp: Interpretation, name: str):
         return row(payload)
 
     return table_fn
+
+
+def computational_fact(interp: Interpretation, name: str) -> Optional[str]:
+    """The value fact of the outcomes of a resolved computational symbol."""
+    impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
+    if isinstance(impl, BuiltinStoch):
+        return _BUILTIN_STOCH[impl.name][1]
+    return impl.fact(effects.monad(interp.kind))
 
 
 def apply_computational(interp: Interpretation, name: str, args) -> effects.Computation:
@@ -598,9 +632,10 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
             bname = spec.get("name")
             if not isinstance(bname, str) or bname not in _BUILTIN_STOCH:
                 raise SchemaError(f"{name!r}: unknown stochastic builtin {bname!r}")
-            if _BUILTIN_STOCH[bname] != len(args):
+            arity, fact = _BUILTIN_STOCH[bname]
+            if arity != len(args):
                 raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")
-            if bname in _CONTINUOUS_BUILTINS and not monad.draws:
+            if fact is CONTINUOUS and not monad.draws:
                 raise FiniteOnlyError(
                     f"{name!r}: builtin {bname!r} needs the sampler kind, not {monad_kind!r}"
                 )

@@ -47,6 +47,18 @@ variables).  A table that holds more than ``_KEPT`` values after a call
 starts over.  On the bind chains of weighted model counting the rule
 turns path enumeration into variable elimination.
 
+Each binder fixes a *value fact* about its variable at compile time: a
+quantifier over a finite sort or an interval's fixed points, a bind over
+a conditional table (the outcomes of all its rows) or over ``bernoulli``
+gives finitely many values, which are *type-faithful* when no two of
+them are ``==`` with different types; a bind over ``normal`` or
+``uniform_real`` gives continuous draws, new on every row of its body
+(inside a quantifier of that body each draw meets every item, and counts
+as type-faithful floats).  The free variables of an open formula have no
+fact.  A table whose variables are all type-faithful keys its rows by
+their values alone, and none is kept where a variable is continuous;
+either way the same rows count as new.
+
 The sampler's key tree is the one a per-draw interpretation would use: a
 bind draws its outer value at child 0 and runs its body at child 1, a
 computational atom draws at the row's own state, a connective evaluates
@@ -81,6 +93,7 @@ from .errors import (
     FiniteOnlyError,
     NestingTooDeepError,
     OpenFormulaError,
+    ParamOutOfRangeError,
 )
 
 Valuation = Dict[str, model.Value]
@@ -141,6 +154,9 @@ def compile_formula(
     draw come first, and returns the sampler of its draws.
     """
     monad, alg = effects.monad(fw.monad_kind), fw.algebra
+    # each bound variable's value fact, set by its innermost binder while
+    # the binder's body compiles; free variables of the formula have none
+    facts: Dict[str, Optional[str]] = {}
 
     def comp(f: syntax.Formula, key: Optional[RandomKey]):
         if isinstance(f, (syntax.Top, syntax.Bot, syntax.Prop)):
@@ -177,9 +193,9 @@ def compile_formula(
         draws = left_draws or right_draws
         if draws:
             if not left_draws:
-                left = _grouped(f.left, left, left_free)
+                left = _grouped(f.left, left, left_free, facts)
             if not right_draws:
-                right = _grouped(f.right, right, right_free)
+                right = _grouped(f.right, right, right_free, facts)
 
         def connective_fn(cols, n, states):
             left_states = right_states = None
@@ -203,8 +219,15 @@ def compile_formula(
         weights = [w for w, _ in items]
         points = [a for _, a in items]
         size = len(points)
-        body, body_free, draws = comp(f.body, _key_child(key, 1))
         var = f.var
+        # the body meets each row once per item, so a draw in scope is no
+        # longer new on every row; draws are floats, hence type-faithful
+        drawn = [name for name, fact in facts.items() if fact is model.CONTINUOUS]
+        facts.update(dict.fromkeys(drawn, model.FAITHFUL))
+        shadowed, facts[var] = facts.get(var), model.value_fact(points)
+        body, body_free, draws = comp(f.body, _key_child(key, 1))
+        facts.update(dict.fromkeys(drawn, model.CONTINUOUS))
+        facts[var] = shadowed
         block = max(1, _BLOCK_ROWS // size)
         if draws:
             # the draws of a chunk fold their items with the boolean table
@@ -229,7 +252,8 @@ def compile_formula(
                 ]
 
         free = body_free - {var}
-        names, table = tuple(free), None if draws else _Table(free)
+        names = tuple(free)
+        table = None if draws or _drawn(free, facts) else _Table(free, facts)
 
         def quant_fn(cols, n, states):
             if table is not None:
@@ -260,22 +284,25 @@ def compile_formula(
         run = model.compile_computational(interp, symbol)
         monad.accept(interp.kind, symbol)
         lookup = partial(_apply_rows, run, arg_fns)
-        if draws:
+        if draws and not _drawn(args_free, facts):
             # draws repeat their arguments: a computation per new restriction to them
-            lookup = partial(_Table(args_free).apply, lookup)
+            lookup = partial(_Table(args_free, facts).apply, lookup)
         if own_state:
             var, body_free, body_draws = _OUTCOME, _CLOSED, False
             embed = alg.embed if monad.reads_rows else _no_classical_reading
             body = lambda cols, n, states: list(map(embed, cols[_OUTCOME]))
         else:
             var = f.var
+            shadowed, facts[var] = facts.get(var), model.computational_fact(interp, symbol)
             body, body_free, body_draws = comp(f.body, _key_child(key, 0))
             if draws and not body_draws:
-                body = _grouped(f.body, body, body_free)
+                body = _grouped(f.body, body, body_free, facts)
+            facts[var] = shadowed
         expand, fold, pin = monad.expand, monad.fold, alg.pin
         body_names = body_free - {var}
         names, free = tuple(body_names), args_free | body_names
-        table = None if draws else _Table(free)
+        # a draw-free computation node is exact, so no variable holds draws
+        table = None if draws else _Table(free, facts)
 
         def computation_fn(cols, n, states):
             if table is not None:
@@ -332,33 +359,49 @@ def _no_classical_reading(v):
     )
 
 
+def _drawn(free: FrozenSet[str], facts) -> bool:
+    """Whether one of the variables ``free`` holds continuous draws, which
+    make every row new, so that a table of them would never hit."""
+    return model.CONTINUOUS in map(facts.get, free)
+
+
 class _Table:
     """The values of a draw-free function of the variables ``free``, one
     per distinct restriction of the rows to them.
 
-    A row's key pairs each value with its type, which keeps ``True``,
-    ``1`` and ``1.0`` apart.  A call that leaves more than ``_KEPT``
-    entries starts the table over, so arguments read from continuous
-    draws, new on every draw, do not grow memory with the budget.  Nodes
-    call ``new_rows`` and ``spread`` from their own clause rather than
-    through a wrapper, so evaluation nests one Python frame per node.
+    When their value ``facts`` make every variable type-faithful (no two
+    of its values ``==`` with different types), a row's key is the tuple
+    of its values, or the value itself for one variable.  Otherwise the key
+    pairs each value with its type, which keeps ``True``, ``1`` and
+    ``1.0`` apart.  Both count the same rows as new.  A call that leaves
+    more than ``_KEPT`` entries starts the table over, so memory does not
+    grow with the number of valuations.  Nodes call ``new_rows`` and
+    ``spread`` from their own clause rather than through a wrapper, so
+    evaluation nests one Python frame per node.
     """
 
-    __slots__ = ("names", "kept")
+    __slots__ = ("names", "kept", "plain")
 
-    def __init__(self, free: FrozenSet[str]):
+    def __init__(self, free: FrozenSet[str], facts):
         self.names = tuple(sorted(free))
         self.kept: dict = {}
+        self.plain = None not in map(facts.get, self.names)
 
     def new_rows(self, cols, n):
         """Every row's key, the keys not kept yet in the order they first
         occur, and those restrictions as columns."""
         names = self.names
-        if names:
+        if not names:
+            keys = [()] * n
+        elif not self.plain:
             columns = list(map(cols.__getitem__, names))
             keys = list(zip(*columns, *map(map, [type] * len(columns), columns)))
+        elif len(names) == 1:
+            keys = cols[names[0]]
+            new = list(filterfalse(self.kept.__contains__, dict.fromkeys(keys)))
+            return keys, new, {names[0]: new}
         else:
-            keys = [()] * n
+            keys = list(zip(*map(cols.__getitem__, names)))
         new = list(filterfalse(self.kept.__contains__, dict.fromkeys(keys)))
         return keys, new, dict(zip(names, zip(*new)))
 
@@ -377,13 +420,14 @@ class _Table:
         return self.spread(keys, new, fn(sub, len(new), *extra) if new else [])
 
 
-def _grouped(f: syntax.Formula, fn, free: FrozenSet[str]):
+def _grouped(f: syntax.Formula, fn, free: FrozenSet[str], facts):
     """The draw-free batch denotation ``fn`` of ``f``, run once per
     distinct restriction of its rows to ``free``.  A quantifier keeps a
-    table of its own, so its denotation is returned as it is."""
-    if isinstance(f, (syntax.Forall, syntax.Exists)):
+    table of its own, and continuous draws make every row new, so then
+    the denotation is returned as it is."""
+    if isinstance(f, (syntax.Forall, syntax.Exists)) or _drawn(free, facts):
         return fn
-    table = _Table(free)
+    table = _Table(free, facts)
     return lambda cols, n, states: table.apply(fn, cols, n, None)
 
 
@@ -447,12 +491,12 @@ def evaluate_sentence(
 ) -> EvalReport:
     """Evaluate a closed formula and realize the result.
 
-    Sampler-framework runs need ``budget`` and ``seed`` and report an
-    estimate with its binomial standard error; the exact frameworks
-    return the truth value directly.  Compilation and evaluation recurse
-    along the formula (a quantifier's items are rows of one batch), so
-    nesting beyond the interpreter's recursion limit raises
-    :class:`NestingTooDeepError`.
+    Sampler-framework runs need ``budget`` and a ``seed`` in
+    ``[0, 2**64)`` and report an estimate with its binomial standard
+    error; the exact frameworks return the truth value directly.
+    Compilation and evaluation recurse along the formula (a quantifier's
+    items are rows of one batch), so nesting beyond the interpreter's
+    recursion limit raises :class:`NestingTooDeepError`.
     """
     try:
         fv = syntax.free_vars(f)
@@ -464,6 +508,8 @@ def evaluate_sentence(
             return EvalReport(value=value, monad_kind=fw.monad_kind, algebra=fw.algebra_name)
         if budget is None or seed is None:
             raise BudgetMissingError("sampler evaluation needs a sample budget and a seed")
+        if not 0 <= seed < 1 << 64:
+            raise ParamOutOfRangeError(f"seed {seed} is outside [0, 2**64)")
         root = RandomKey(seed)
         value = eval_formula(f, fw, interp, {}, budget, root.child(1))
         realized = effects.realize(value, budget, root.child(0))

@@ -123,6 +123,26 @@ class TestEval:
         )
         assert (code, out) == (1, "") and err.startswith("error: BudgetMissing: ")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, capsys, demo_dir, seed):
+        # a masked seed would draw the stream of another seed
+        code, out, err = run(
+            capsys,
+            *eval_args(demo_dir, "weather", "sampler", "product", "forall w:World. eq(hd(w), hd(w))",
+                       "--samples", "10", "--seed", seed, "--machine"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seeds_at_the_64_bit_edges_accepted(self, capsys, demo_dir, seed):
+        code, out, _ = run(
+            capsys,
+            *eval_args(demo_dir, "weather", "sampler", "product", "forall w:World. eq(hd(w), hd(w))",
+                       "--samples", "10", "--seed", seed, "--machine"),
+        )
+        assert code == 0 and out.endswith(f" seed={seed}\n")
+
     def test_open_formula_rejected(self, capsys, demo_dir):
         code, _, err = run(
             capsys, *eval_args(demo_dir, "mnist", "dist", "product", "eq(n, 1)"),

@@ -93,6 +93,23 @@ class TestDistCanonicalization:
     def test_structural_equality(self):
         assert Dist(((0, 0.5), (1, 0.5))) == Dist(((1, 0.5), (0, 0.5)))
 
+    def test_support_order_is_the_type_ranked_value_order(self):
+        # bools, then ints, then floats, then strings, each by value: the
+        # order the support had when every value was sorted by its type rank
+        def rank(v):
+            return [bool, int, float, str].index(type(v))
+
+        rng = random.Random(5)
+        pools = [[True, False], list(range(-3, 9)), [-1.5, 0.25, 2.0, 7.75], ["a", "b", "zz"]]
+        for _ in range(2000):
+            mixed = rng.random() < 0.5
+            pool = [v for p in pools for v in p] if mixed else rng.choice(pools)
+            support = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+            weights = [rng.random() + 0.01 for _ in support]
+            total = sum(weights)
+            d = Dist([(v, w / total) for v, w in zip(support, weights)])
+            assert d.pairs == tuple(sorted(d.pairs, key=lambda vp: (rank(vp[0]), vp[0])))
+
 
 class TestBind:
     def test_identity_applies(self):

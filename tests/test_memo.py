@@ -29,12 +29,13 @@ from monadlogic import (
     wmc_build,
     wmc_bruteforce,
 )
-from monadlogic.errors import EvalTypeError, OpenFormulaError
-from monadlogic.model import BuiltinFunc
+from monadlogic import effects, model
+from monadlogic.errors import EngineError, EvalTypeError, OpenFormulaError
+from monadlogic.model import CONTINUOUS, FAITHFUL, BuiltinFunc, computational_fact, value_fact
 from monadlogic.semantics import compile_formula
 from monadlogic.syntax import Signature
 
-from helpers import random_dist_pairs
+from helpers import random_dist_pairs, reference_exact
 
 _ALGEBRA = {
     IDENTITY: "boolean",
@@ -295,3 +296,146 @@ class TestTableLifetimes:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def document(sig_doc, interp_doc, kind):
+    sig = parse_signature(json.dumps(sig_doc))
+    return sig, load_interpretation(interp_doc, sig, kind)
+
+
+def outcome(fn):
+    """A value with its type, or the type of the error raised instead."""
+    try:
+        value = fn()
+    except EngineError as exc:
+        return ("error", type(exc))
+    return (type(value), value)
+
+
+def rows_in(kind, table):
+    """Document rows ``[*args, payload]`` in the form ``kind`` loads."""
+    if kind == NONEMPTY_SET:
+        return [[*args, [v for v, _ in pairs]] for args, pairs in table]
+    return [[*args, [list(vp) for vp in pairs]] for args, pairs in table]
+
+
+EXACT = [IDENTITY, NONEMPTY_SET, DISTRIBUTION]
+STOCHASTIC = ("bernoulli", "normal", "uniform_real")
+
+
+def stochastic_system(values):
+    """Builtin draws over a real line ``Num`` plus an enum sort ``S``."""
+    sig = parse_signature(json.dumps({
+        "sorts": ["Num", "S"],
+        "mfuncs": {"bernoulli": {"args": ["Num"], "result": "Num"},
+                   "normal": {"args": ["Num", "Num"], "result": "Num"},
+                   "uniform_real": {"args": ["Num", "Num"], "result": "Num"}},
+        "preds": {"gt": {"args": ["Num", "Num"]}},
+    }))
+    interp = load_interpretation({
+        "sorts": {"Num": {"kind": "real_interval"}, "S": {"kind": "enum", "values": values}},
+        "mfuncs": {n: {"kind": "builtin", "name": n} for n in STOCHASTIC},
+        "preds": {"gt": {"kind": "builtin", "name": "gt"}},
+    }, sig, SAMPLER)
+    return sig, interp
+
+
+class TestValueFacts:
+    """Each binder fixes a fact about its variable's values; tables whose
+    variables all take type-faithful values key rows by the values alone,
+    and must count the same rows as new as typed keys do."""
+
+    @pytest.mark.parametrize("kind", EXACT)
+    def test_a_ctable_yielding_one_and_true_keeps_typed_keys(self, kind):
+        # m(0) yields 1 and m(1) yields True; the int row comes first, so a
+        # table keyed by y alone would hand the True row the int row's value
+        sig_doc = {
+            "sorts": ["S", "N"],
+            "funcs": {"add": {"args": ["N", "N"], "result": "N"}},
+            "mfuncs": {"m": {"args": ["S"], "result": "N"}},
+            "preds": {"gt": {"args": ["N", "N"]}},
+        }
+        interp_doc = {
+            "sorts": {"S": {"kind": "enum", "values": [0, 1]},
+                      "N": {"kind": "enum", "values": [0, 1, 2]}},
+            "funcs": {"add": {"kind": "builtin", "name": "add"}},
+            "mfuncs": {"m": {"kind": "ctable",
+                             "rows": rows_in(kind, [((0,), ((1, 1.0),)), ((1,), ((True, 1.0),))])}},
+            "preds": {"gt": {"kind": "builtin", "name": "gt"}},
+        }
+        sig, interp = document(sig_doc, interp_doc, kind)
+        assert interp.mfuncs["m"].fact(effects.monad(kind)) is None
+        fw = framework(kind)
+        f = parse_formula("forall x:S. [y := m(x)] exists w:N. gt(add(y, w), 0)", sig)
+        # add rejects booleans, so a shared entry would hide the error
+        with pytest.raises(EvalTypeError):
+            evaluate_sentence(f, fw, interp)
+        with pytest.raises(EvalTypeError):
+            reference_exact(f, fw, interp, {})
+
+    @pytest.mark.parametrize("kind", EXACT)
+    def test_an_enum_of_mixed_types_matches_the_reference(self, kind):
+        values = [True, 2, 2.5, "a"]
+        rng = random.Random(f"mixed:{kind}")
+        table = []
+        for v in values:
+            support = rng.sample(values, 1 if kind == IDENTITY else rng.randint(1, 3))
+            table.append(((v,), tuple(zip(support, [1.0 / len(support)] * len(support)))))
+        sig_doc = {
+            "sorts": ["S"],
+            "mfuncs": {"m": {"args": ["S"], "result": "S"}},
+            "preds": {"r": {"args": ["S", "S"]}, "eq": {"args": ["S", "S"]}},
+        }
+        interp_doc = {
+            "sorts": {"S": {"kind": "enum", "values": values}},
+            "mfuncs": {"m": {"kind": "ctable", "rows": rows_in(kind, table)}},
+            "preds": {"r": {"kind": "table",
+                            "rows": [[a, b, rng.random() < 0.5] for a in values for b in values]},
+                      "eq": {"kind": "builtin", "name": "eq"}},
+        }
+        sig, interp = document(sig_doc, interp_doc, kind)
+        assert interp.mfuncs["m"].fact(effects.monad(kind)) == FAITHFUL
+        fw = framework(kind)
+        for text in [
+            "forall x:S. exists y:S. [z := m(x)] (eq(z, y) | r(x, z))",
+            "exists x:S. forall y:S. [z := m(y)] [u := m(z)] (r(u, x) -> eq(x, y))",
+            "forall x:S. [z := m(x)] exists y:S. r(z, y) & !eq(y, x)",
+        ]:
+            f = parse_formula(text, sig)
+            assert outcome(lambda: evaluate_sentence(f, fw, interp).value) == outcome(
+                lambda: reference_exact(f, fw, interp, {})), text
+
+    def test_the_outcome_fact_is_found_once_per_table(self):
+        class CountingValues(dict):
+            reads = 0
+
+            def values(self):
+                CountingValues.reads += 1
+                return super().values()
+
+        table = CTable(CountingValues({(v,): Dist(((v, 0.5), ((v + 1) % 3, 0.5))) for v in VALUES}))
+        interp = Interpretation(kind=DISTRIBUTION, sorts={"S": EnumDomain(VALUES)},
+                                mfuncs={"m": table}, preds=counting_interp(DISTRIBUTION)[0].preds)
+        f = parse_formula("forall x:S. [z := m(x)] q(z)", SIG)
+        for _ in range(3):
+            evaluate_sentence(f, framework(DISTRIBUTION), interp)
+        assert CountingValues.reads == 1 and table.fact(effects.monad(DISTRIBUTION)) == FAITHFUL
+
+    def test_builtin_facts(self):
+        _, interp = stochastic_system([0])
+        facts = {n: computational_fact(interp, n) for n in STOCHASTIC}
+        assert facts == {"bernoulli": FAITHFUL, "normal": CONTINUOUS, "uniform_real": CONTINUOUS}
+        assert value_fact((True, 2, 2.5, "a")) == FAITHFUL
+        assert value_fact((1, True)) is None and value_fact((1.0, 1)) is None
+
+    def test_a_draw_repeated_by_a_quantifier_keeps_its_table(self, monkeypatch):
+        # inside the quantifier each draw of t meets every item of S, so
+        # normal(t, 1) is built once per draw, not once per row
+        built = []
+        stochastic = model._builtin_stochastic
+        monkeypatch.setattr(model, "_builtin_stochastic",
+                            lambda *a: built.append(a[1]) or stochastic(*a))
+        sig, interp = stochastic_system([0, 1, 2])
+        f = parse_formula("[t := normal(0, 1)] forall x:S. [u := normal(t, 1)] gt(u, t)", sig)
+        evaluate_sentence(f, framework(SAMPLER), interp, budget=1500, seed=2)
+        assert len(built) == 1 + 1500 and len(set(map(tuple, built))) == 1501

@@ -1,8 +1,8 @@
-"""Truth algebras: connective tables and quantifier aggregators.
+"""Truth algebras: connective tables and quantifier reductions.
 
 Each algebra packages the constants, the unary negation, the three binary
-connectives and a pair of weighted-family aggregators (one per quantifier)
-over one carrier of truth values:
+connectives and a pair of quantifier reductions (the evaluator's only way
+to reduce a quantifier's items, under every monad) over one carrier:
 
 * ``boolean``  -- classical two-valued logic on ``bool``.
 * ``priest``   -- the three-valued logic of paradox on F < B < T.
@@ -109,10 +109,11 @@ class WeightedFamily:
 class TruthAlgebra:
     """An operation table over one truth-value carrier.
 
-    ``forall`` and ``exists`` aggregate a tuple of ``(weight, value)``
-    items of the carrier.  ``pin`` returns an expectation of carrier
-    values (a bind under finite distributions) to the carrier, and
-    ``embed`` reads an outcome of a computational predicate as a truth
+    ``forall`` and ``exists`` reduce a block: ``(weights, rows)`` maps an
+    iterable of value tuples, each as long as the positive ``weights``, to
+    a list of one value per row, unchecked.  ``pin`` returns an expectation
+    of carrier values (a bind under finite distributions) to the carrier,
+    and ``embed`` reads an outcome of a computational predicate as a truth
     value; by default the unit embedding of the basis, ``top`` or ``bot``.
     """
 
@@ -124,8 +125,8 @@ class TruthAlgebra:
     conj: Callable
     disj: Callable
     implies: Callable
-    forall: Callable = None
-    exists: Callable = None
+    forall: Callable
+    exists: Callable
     pin: Callable = snap01
     embed: Callable = None
     params: dict = field(default_factory=dict)
@@ -159,7 +160,7 @@ def _signed_pow(x: float, q: float) -> float:
     return math.copysign(abs(x) ** q, x)
 
 
-def _smooth_min(pairs: Sequence[Tuple[float, float]], r: float) -> float:
+def _smooth_min(weights: Sequence[float], values: Sequence[float], r: float) -> float:
     """Weighted smooth-minimum of extended reals; tends to min as r grows.
 
     Three cases split on the sign of the minimum; +inf entries carry
@@ -167,7 +168,7 @@ def _smooth_min(pairs: Sequence[Tuple[float, float]], r: float) -> float:
     robustness value, and the minimum scan would skip it, so it is rejected.
     """
     finite_min = math.inf
-    for _, v in pairs:
+    for v in values:
         if v < finite_min:
             finite_min = v
         elif v != v:
@@ -181,7 +182,7 @@ def _smooth_min(pairs: Sequence[Tuple[float, float]], r: float) -> float:
         return 0.0
     num = den = 0.0
     if m < 0.0:
-        for w, v in pairs:
+        for w, v in zip(weights, values):
             if v == math.inf:
                 continue
             t = (v - m) / m  # <= 0
@@ -189,7 +190,7 @@ def _smooth_min(pairs: Sequence[Tuple[float, float]], r: float) -> float:
             num += w * m * math.exp(t) * e
             den += w * e
     else:
-        for w, v in pairs:
+        for w, v in zip(weights, values):
             if v == math.inf:
                 continue
             t = (v - m) / m  # >= 0
@@ -199,8 +200,8 @@ def _smooth_min(pairs: Sequence[Tuple[float, float]], r: float) -> float:
     return num / den
 
 
-def _smooth_max(pairs: Sequence[Tuple[float, float]], r: float) -> float:
-    return -_smooth_min(tuple((w, -v) for w, v in pairs), r)
+def _smooth_max(weights: Sequence[float], values: Sequence[float], r: float) -> float:
+    return -_smooth_min(weights, [-v for v in values], r)
 
 
 def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
@@ -213,8 +214,8 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=lambda x, y: x and y,
             disj=lambda x, y: x or y,
             implies=lambda x, y: (not x) or y,
-            forall=lambda items: all(v for _, v in items),
-            exists=lambda items: any(v for _, v in items),
+            forall=lambda weights, rows: list(map(all, rows)),
+            exists=lambda weights, rows: list(map(any, rows)),
         )
     if name == "priest":
         # min and max of members return a member; negation is a lookup
@@ -224,9 +225,11 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=min,
             disj=max,
             implies=lambda x, y: max(_PRIEST_NEG[x], y),
-            forall=lambda items: min(v for _, v in items),
-            exists=lambda items: max(v for _, v in items),
+            forall=lambda weights, rows: list(map(min, rows)),
+            exists=lambda weights, rows: list(map(max, rows)),
         )
+    product_forall = _rowwise(_weighted_product)
+    product_exists = _rowwise(lambda ws, vs: 1.0 - _weighted_product(ws, _complement(vs)))
     if name == "product":
         return TruthAlgebra(
             name, PROB, 1.0, 0.0,
@@ -234,27 +237,26 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
             conj=lambda x, y: x * y,
             disj=lambda x, y: snap01(x + y - x * y),
             implies=_prob_implies_residual,
-            forall=lambda items: _weighted_product(items, complement=False),
-            exists=lambda items: 1.0 - _weighted_product(items, complement=True),
+            forall=product_forall,
+            exists=product_exists,
         )
     if name in ("sproduct", "ltn_p", "ltn_q"):
-        forall = lambda items: _weighted_product(items, complement=False)
-        exists = lambda items: 1.0 - _weighted_product(items, complement=True)
+        forall, exists = product_forall, product_exists
         if name == "ltn_p":
             p = float(params.get("p", 0.0))
             if not (math.isfinite(p) and p >= 1.0):
                 raise ParamOutOfRangeError(f"ltn_p needs a finite p >= 1, got {params.get('p')!r}")
             params = {"p": p}
-            forall = lambda items: snap01(1.0 - _pmean(_complement(_normalized(items)), p))
-            exists = lambda items: snap01(_pmean(_normalized(items), p))
+            forall = _rowwise(lambda ws, vs: snap01(1.0 - _pmean(ws, _complement(vs), p)), True)
+            exists = _rowwise(lambda ws, vs: snap01(_pmean(ws, vs, p)), True)
         elif name == "ltn_q":
             q = float(params.get("q", 0.0))
             if not 0.5 <= q <= 1.0:
                 raise ParamOutOfRangeError(f"ltn_q needs 1/2 <= q <= 1, got {params.get('q')!r}")
             params = {"q": q}
-            forall = lambda items: snap01(_log_power_forall(_normalized(items), q))
-            exists = lambda items: snap01(
-                1.0 - _log_power_forall(_complement(_normalized(items)), q)
+            forall = _rowwise(lambda ws, vs: snap01(_log_power_forall(ws, vs, q)), True)
+            exists = _rowwise(
+                lambda ws, vs: snap01(1.0 - _log_power_forall(ws, _complement(vs), q)), True
             )
         else:
             params = {}
@@ -275,11 +277,11 @@ def make_algebra(name: str, params: dict = None) -> TruthAlgebra:
         return TruthAlgebra(
             name, XREAL, math.inf, -math.inf,
             neg=lambda x: -x,
-            conj=lambda x, y: _smooth_min(((1.0, x), (1.0, y)), r),
-            disj=lambda x, y: _smooth_max(((1.0, x), (1.0, y)), r),
-            implies=lambda x, y: _smooth_max(((1.0, -x), (1.0, y)), r),
-            forall=lambda items: _smooth_min(items, r),
-            exists=lambda items: _smooth_max(items, r),
+            conj=lambda x, y: _smooth_min((1.0, 1.0), (x, y), r),
+            disj=lambda x, y: _smooth_max((1.0, 1.0), (x, y), r),
+            implies=lambda x, y: _smooth_max((1.0, 1.0), (-x, y), r),
+            forall=_rowwise(lambda ws, vs: _smooth_min(ws, vs, r)),
+            exists=_rowwise(lambda ws, vs: _smooth_max(ws, vs, r)),
             pin=_robustness,
             embed=_robustness_outcome,
             params={"r": r},
@@ -340,38 +342,45 @@ def apply_connective(alg: TruthAlgebra, op: str, args: Sequence):
     return getattr(alg, op)(*checked)
 
 
-# aggregation
+# quantifier reductions
 
 
-def _weighted_product(items, complement: bool) -> float:
+def _rowwise(fn: Callable, normalize: bool = False) -> Callable:
+    """The block reduction running ``fn(weights, row)`` on each row; with
+    ``normalize`` the weights are scaled to sum to 1, once per block."""
+
+    def reduce_block(weights, rows):
+        if normalize:
+            total = sum(weights)
+            weights = [w / total for w in weights]
+        return [fn(weights, row) for row in rows]
+
+    return reduce_block
+
+
+def _weighted_product(weights, values) -> float:
     total = 1.0
-    for w, v in items:
-        x = (1.0 - v) if complement else v
+    for w, x in zip(weights, values):
         if x < _LN_ZERO:
             return 0.0
         total *= x**w
     return total
 
 
-def _complement(items):
-    return tuple((w, 1.0 - v) for w, v in items)
+def _complement(values):
+    return [1.0 - v for v in values]
 
 
-def _normalized(items):
-    total = sum(w for w, _ in items)
-    return tuple((w / total, v) for w, v in items)
-
-
-def _pmean(items, p: float) -> float:
+def _pmean(weights, values, p: float) -> float:
     acc = 0.0
-    for w, v in items:
+    for w, v in zip(weights, values):
         acc += w * v**p
     return acc ** (1.0 / p)
 
 
-def _log_power_forall(items, q: float) -> float:
+def _log_power_forall(weights, values, q: float) -> float:
     acc = 0.0
-    for w, v in items:
+    for w, v in zip(weights, values):
         if v < _LN_ZERO:
             return 0.0
         acc += w * _signed_pow(math.log(v), q)
@@ -380,17 +389,17 @@ def _log_power_forall(items, q: float) -> float:
 
 def aggregate(alg: TruthAlgebra, kind: str, fam: WeightedFamily):
     """Reduce an exact weighted family of truth values with the algebra's
-    quantifier aggregator (``forall`` or ``exists``).  Sampled families
-    have no aggregator: the evaluator folds sampled points itself."""
+    quantifier (``forall`` or ``exists``): its block reduction on one row.
+    The items are checked against the carrier first; the evaluator's values
+    come from the algebra's own operations and skip this call.  A sampled
+    family has no weights and is rejected."""
     if kind not in (FORALL, EXISTS):
         raise ArityMismatchError(f"unknown aggregation kind {kind!r}")
     if not fam.is_exact:
         raise ExactOnlyError(f"{alg.name} aggregates exact finite families only")
-    items = tuple((w, check_carrier(alg, v)) for w, v in fam.items())
-    reduce_items = alg.forall if kind == FORALL else alg.exists
-    if reduce_items is None:
-        raise UnknownAlgebraError(f"no aggregator for algebra {alg.name!r}")
-    return reduce_items(items)
+    items = fam.items()
+    row = tuple(check_carrier(alg, v) for _, v in items)
+    return getattr(alg, kind)(tuple(w for w, _ in items), (row,))[0]
 
 
 def _robustness(x: float) -> float:
@@ -404,10 +413,10 @@ def _robustness(x: float) -> float:
 
 def _robustness_outcome(v) -> float:
     """A computational predicate's outcome as a robustness: crisp outcomes
-    at +inf or -inf, numbers as they are."""
+    at +inf or -inf, numbers other than NaN as they are."""
     if isinstance(v, bool):
         return math.inf if v else -math.inf
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and v == v:
         return float(v)
     raise CarrierMismatchError(f"{v!r} is not a robustness value (stl_r)")
 
@@ -441,7 +450,7 @@ def lift_algebra(base: TruthAlgebra, monad_kind: str) -> TruthAlgebra:
         return run
 
     def folded(op):
-        return lambda items: reduce(op, (v for _, v in items))
+        return lambda weights, rows: [reduce(op, row) for row in rows]
 
     conj, disj = lifted_binop(base.conj), lifted_binop(base.disj)
     return TruthAlgebra(

@@ -15,7 +15,7 @@ import sys
 
 from . import effects, model, semantics, transforms
 from .algebra import LP3, parse_algebra_string
-from .errors import BudgetMissingError, EngineError, SchemaError, UsageError
+from .errors import BudgetMissingError, EngineError, FormulaSyntaxError, SchemaError, UsageError
 from .syntax import parse_formula, parse_signature
 
 _FRAMEWORKS = {
@@ -35,15 +35,19 @@ framework/algebra compatibility:
 """
 
 
-def _read(path: str) -> str:
+def _read(path: str, error=SchemaError) -> str:
+    """A document's text; bytes that are not UTF-8 raise ``error``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_json(path: str):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed document {path}: {exc}") from exc
 
 
@@ -60,7 +64,7 @@ def _fmt_value(value, machine: bool) -> str:
 
 
 def _load_system(args):
-    sig = parse_signature(_read(args.sig))
+    sig = parse_signature(_read(args.sig, FormulaSyntaxError))
     monad_kind = _FRAMEWORKS[args.framework]
     doc = _read_json(args.interp) if args.interp else None
     interp = model.load_interpretation(doc, sig, monad_kind) if doc is not None else None
@@ -71,7 +75,7 @@ def _formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
     if args.formula_file is not None:
-        return _read(args.formula_file)
+        return _read(args.formula_file, FormulaSyntaxError)
     raise UsageError("one of --formula or --formula-file is required")
 
 
@@ -104,7 +108,7 @@ def cmd_eval(args) -> int:
 def cmd_transform(args) -> int:
     if args.name != "argmax":
         raise UsageError(f"unknown transformation {args.name!r}")
-    sig = parse_signature(_read(args.sig))
+    sig = parse_signature(_read(args.sig, FormulaSyntaxError))
     interp = model.load_interpretation(_read_json(args.interp), sig, effects.DISTRIBUTION)
     out = transforms.argmax_interpretation(interp)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -115,7 +119,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_wmc(args) -> int:
-    sig = parse_signature(_read(args.sig))
+    sig = parse_signature(_read(args.sig, FormulaSyntaxError))
     doc = _read_json(args.interp)
     interp = model.load_interpretation(doc, sig, effects.DISTRIBUTION)
     network, sig2, interp2 = transforms.load_network(doc, sig, interp)

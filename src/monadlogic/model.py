@@ -574,7 +574,7 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"malformed interpretation document: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("interpretation document must be an object")

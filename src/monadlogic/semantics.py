@@ -32,9 +32,10 @@ to ``fold`` the values back into one per row: the single outcome, the
 union of members, the expectation in support order, or the draw itself.
 A computational atom is the same clause with a body that embeds each
 outcome as a truth value.  A quantifier extends each row by every element
-of its family and reduces each row's values with ``aggregate``; rows that
-are draws of the sampler hold basis values and fold them with the boolean
-table instead.
+of its family and hands the body's values, a row of items per row, to the
+algebra's ``forall`` or ``exists`` with the family's weights; under the
+sampler that is the boolean table, whose reduction of draws (their fold
+with ``and`` or ``or``) estimates the product algebra for unit weights only.
 
 A node *draws* when the monad draws and the node holds a bind or a
 computational atom.  One rule memoizes: a draw-free function of some
@@ -85,7 +86,7 @@ from itertools import filterfalse
 from typing import Callable, Dict, FrozenSet, Optional
 
 from . import effects, model, syntax
-from .algebra import FORALL, EXISTS, TruthAlgebra, WeightedFamily, aggregate, make_algebra
+from .algebra import TruthAlgebra, aggregate, make_algebra  # perfbench/tracing.py wraps aggregate here
 from .effects import RandomKey, child_states, item_states
 from .errors import (
     BudgetMissingError,
@@ -229,28 +230,9 @@ def compile_formula(
         facts.update(dict.fromkeys(drawn, model.CONTINUOUS))
         facts[var] = shadowed
         block = max(1, _BLOCK_ROWS // size)
-        if draws:
-            # the draws of a chunk fold their items with the boolean table
-            op = alg.conj if isinstance(f, syntax.Forall) else alg.disj
-            unit_weights = all(w == 1.0 for w in weights)
-
-            def reduce(values):
-                if not unit_weights:
-                    raise CarrierMismatchError("sampler quantifiers support unit weights only")
-                acc = values[0::size]
-                for j in range(1, size):
-                    acc = list(map(op, acc, values[j::size]))
-                return acc
-
-        else:
-            quant = FORALL if isinstance(f, syntax.Forall) else EXISTS
-
-            def reduce(values):
-                return [
-                    aggregate(alg, quant, WeightedFamily("exact", pairs=tuple(zip(weights, row))))
-                    for row in zip(*[iter(values)] * size)
-                ]
-
+        reduce = alg.forall if isinstance(f, syntax.Forall) else alg.exists
+        if draws and any(w != 1.0 for w in weights):
+            reduce = _unit_weights_only
         free = body_free - {var}
         names = tuple(free)
         table = None if draws or _drawn(free, facts) else _Table(free, facts)
@@ -265,7 +247,8 @@ def compile_formula(
                 sub = {name: cols[name][start:start + block] for name in names}
                 m = min(block, n - start)
                 sub_states = None if states is None else item_states(states[start:start + block], size)
-                out += reduce(body(_extended(sub, names, [points] * m, var, points * m), m * size, sub_states))
+                values = body(_extended(sub, names, [points] * m, var, points * m), m * size, sub_states)
+                out += reduce(weights, zip(*[iter(values)] * size))
             return out if table is None else table.spread(keys, new, out)
 
         return quant_fn, free, draws
@@ -350,6 +333,11 @@ _BLOCK_ROWS = 1 << 14
 
 def _key_child(key: Optional[RandomKey], index: int) -> Optional[RandomKey]:
     return None if key is None else key.child(index)
+
+
+def _unit_weights_only(weights, rows):
+    """The reduction of a drawing quantifier whose weights are not all 1."""
+    raise CarrierMismatchError("sampler quantifiers support unit weights only")
 
 
 def _no_classical_reading(v):

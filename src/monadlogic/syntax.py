@@ -109,7 +109,7 @@ def parse_signature(text: str) -> Signature:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormulaSyntaxError(f"malformed signature document: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormulaSyntaxError("signature document must be an object")

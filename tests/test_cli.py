@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from monadlogic import Dist, NONEMPTY_SET, load_interpretation, parse_signature
+from monadlogic import DISTRIBUTION, Dist, NONEMPTY_SET, load_interpretation, parse_signature
 from monadlogic import effects
+from monadlogic.errors import FormulaSyntaxError, SchemaError
 from monadlogic.cli import main
 
 
@@ -274,10 +275,21 @@ class TestSelftest:
         assert out.count(": ok") >= 4
 
     def test_all_prints_suite_names(self, capsys):
+        # the suites are seeded, so a suite that checks fewer instances
+        # than it did changes its line
         code, out, _ = run(capsys, "selftest", "all")
         assert code == 0
-        suite_lines = [l for l in out.strip().split("\n") if l and not l.startswith("selftest:")]
-        assert len(suite_lines) >= 6
+        assert out == (
+            "monad-laws: ok (1809 passed, 0 failed)\n"
+            "dist-normalization: ok (300 passed, 0 failed)\n"
+            "monoid-laws: ok (10800 passed, 0 failed)\n"
+            "classical-limit: ok (98 passed, 0 failed)\n"
+            "lifted-closed-forms: ok (4030 passed, 0 failed)\n"
+            "quantifier-consistency: ok (600 passed, 0 failed)\n"
+            "aggregator-monotonicity: ok (600 passed, 0 failed)\n"
+            "propositional-oracle: ok (3200 passed, 0 failed)\n"
+            "selftest: ok (8/8 suites passed)\n"
+        )
 
     def test_broken_bind_fails(self, capsys, monkeypatch):
         genuine = effects.bind
@@ -346,6 +358,69 @@ def test_malformed_interpretation_is_a_diagnostic(capsys, demo_dir, tmp_path):
     ])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: Schema")
+
+
+class TestBadDocumentBytes:
+    """Documents nested past the JSON decoder's recursion limit, or not
+    UTF-8, end in one coded error line rather than a traceback."""
+
+    DEEP = "[" * 200000 + "]" * 200000
+
+    def write(self, tmp_path, name, content):
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return str(path)
+
+    def argvs(self, sig, interp, formula_file=None):
+        formula = ["--formula-file", formula_file] if formula_file else ["--formula", "top"]
+        return [
+            ["eval", "--sig", sig, "--interp", interp, "--framework", "dist",
+             "--algebra", "product", *formula],
+            ["wmc", "--sig", sig, "--interp", interp, *formula],
+        ]
+
+    def assert_error(self, capsys, argv, code_name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {code_name}: ") and err.count("\n") == 1, err
+
+    def test_deep_signature(self, capsys, demo_dir, tmp_path):
+        sig = self.write(tmp_path, "sig.json", self.DEEP)
+        interp = str(demo_dir / "wmc.interp.json")
+        for argv in self.argvs(sig, interp):
+            self.assert_error(capsys, argv, "SyntaxError")
+        out = str(tmp_path / "out.json")
+        self.assert_error(capsys, ["transform", "--sig", sig, "--interp", interp, "--out", out],
+                          "SyntaxError")
+
+    def test_deep_interpretation(self, capsys, demo_dir, tmp_path):
+        sig = str(demo_dir / "wmc.sig.json")
+        interp = self.write(tmp_path, "interp.json", self.DEEP)
+        for argv in self.argvs(sig, interp):
+            self.assert_error(capsys, argv, "Schema")
+        out = str(tmp_path / "out.json")
+        self.assert_error(capsys, ["transform", "--sig", sig, "--interp", interp, "--out", out],
+                          "Schema")
+
+    def test_non_utf8_documents(self, capsys, demo_dir, tmp_path):
+        bad = self.write(tmp_path, "bad.json", b'{"sorts": ["\xff\xfe"]}')
+        sig, interp = str(demo_dir / "wmc.sig.json"), str(demo_dir / "wmc.interp.json")
+        for argv in self.argvs(bad, interp):
+            self.assert_error(capsys, argv, "SyntaxError")
+        for argv in self.argvs(sig, bad):
+            self.assert_error(capsys, argv, "Schema")
+        for argv in self.argvs(sig, interp, formula_file=bad):
+            self.assert_error(capsys, argv, "SyntaxError")
+
+    def test_library_entry_points(self, demo_dir):
+        with pytest.raises(FormulaSyntaxError, match="malformed signature document"):
+            parse_signature(self.DEEP)
+        sig = parse_signature((demo_dir / "wmc.sig.json").read_text())
+        with pytest.raises(SchemaError, match="malformed interpretation document"):
+            load_interpretation(self.DEEP, sig, DISTRIBUTION)
 
 
 class TestNestingTooDeep:

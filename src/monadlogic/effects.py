@@ -150,7 +150,8 @@ class RandomKey:
 class _Repeats(dict):
     """Lane-repeated words for one batch size, each built on first use:
     ``repeats[w]`` holds the 64-bit word ``w`` in every lane.  Batches
-    derived from one another with the same size share one."""
+    derived from one another with the same size share one, and so do the
+    full chunks of one :func:`draws` call."""
 
     __slots__ = ("n",)
 
@@ -266,10 +267,12 @@ def child_states(states: Lanes, index: int) -> Lanes:
     return Lanes(_step(states, (index + 1) * _GAMMA), states.n, states.repeats)
 
 
-def draw_states(key: RandomKey, start: int, stop: int) -> Lanes:
-    """The states of ``key.child(i)`` for ``start <= i < stop``."""
+def draw_states(key: RandomKey, start: int, stop: int, repeats: _Repeats = None) -> Lanes:
+    """The states of ``key.child(i)`` for ``start <= i < stop``; batches of
+    that size may share one ``repeats``."""
     indices = Lanes.of(range(start, stop))
-    repeats = indices.repeats
+    if repeats is None:
+        repeats = indices.repeats
     # lane i holds i * _GAMMA, below 2**128 - 2**64, so the increment (the
     # key's state plus child 0's _GAMMA) carries into no other lane
     inc = repeats[(key.state + _GAMMA) & _MASK]
@@ -567,8 +570,10 @@ def _check_budget(budget: int, key: RandomKey) -> None:
 def draws(c: Sampler, budget: int, key: RandomKey) -> Iterator[list]:
     """Draw ``c`` at ``key.child(i)`` for ``i < budget``, ``CHUNK`` at a time."""
     _check_budget(budget, key)
+    full = _Repeats(CHUNK)  # shared by the full chunks and the batches derived from them
     for start in range(0, budget, CHUNK):
-        yield c.draw(draw_states(key, start, min(start + CHUNK, budget)))
+        stop = min(start + CHUNK, budget)
+        yield c.draw(draw_states(key, start, stop, full if stop - start == CHUNK else None))
 
 
 # the monads

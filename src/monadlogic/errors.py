@@ -20,8 +20,9 @@ class UsageError(EngineError):
 
 
 class NestingTooDeepError(EngineError):
-    """A formula or bind chain nests deeper than the interpreter's
-    recursion limit lets the parser or evaluator follow."""
+    """A formula nests deeper than the interpreter's recursion limit lets
+    the parser or evaluator follow.  A run of binds is followed in a loop,
+    so a bind chain of any length evaluates."""
 
 
 # syntax

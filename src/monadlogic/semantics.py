@@ -23,16 +23,20 @@ batch of one 64-bit key state per row when the rows are draws of the
 sampler, and None otherwise.  A drawing clause derives its operands' and
 its body's batches from it without unpacking it.
 
-What differs between the monads is held by the monad value.  A bind
-looks up each row's computation, asks the monad to ``expand`` the rows by
-its outcomes -- the support under the exact kinds (identity, non-empty
-sets, finite distributions), one draw at child 0 of the row's state under
-the sampler -- runs its body once on the expanded rows, and asks the monad
-to ``fold`` the values back into one per row: the single outcome, the
-union of members, the expectation in support order, or the draw itself.
-A computational atom is the same clause with a body that embeds each
-outcome as a truth value.  A quantifier extends each row by every element
-of its family and hands the body's values, a row of items per row, to the
+What differs between the monads is held by the monad value.  A run of
+binds, each the body of the one before, is one clause that loops: each
+bind looks up each row's computation and asks the monad to ``expand`` the
+rows by its outcomes -- the support under the exact kinds (identity,
+non-empty sets, finite distributions), one draw at child 0 of the row's
+state under the sampler; the run's body runs once on the last bind's
+rows, and the monad ``fold``s the values back into one per row: the
+single outcome, the union of members, the expectation in support order,
+or the draw itself.  The exact kinds sweep forward, numbering the
+distinct rows of each bind on its *frontier* (the variables the rest of
+the run reads), then fold backward; the sampler only goes forward.  A
+computational atom ends a run, its body embedding each outcome as a
+truth value.  A quantifier extends each row by every element of its
+family and hands the body's values, a row of items per row, to the
 algebra's ``forall`` or ``exists`` with the family's weights; under the
 sampler that is the boolean table, whose reduction of draws (their fold
 with ``and`` or ``or``) estimates the product algebra for unit weights only.
@@ -41,12 +45,11 @@ A node *draws* when the monad draws and the node holds a bind or a
 computational atom.  One rule memoizes: a draw-free function of some
 variables is run once per distinct restriction of its rows to them, and
 its table of values lives as long as the denotation.  The functions are a
-draw-free quantifier, bind or computational-atom node (of its free
-variables), a draw-free operand or body of a drawing node (of its free
-variables), and a drawing node's computations (of its arguments'
-variables).  A table that holds more than ``_KEPT`` values after a call
-starts over.  On the bind chains of weighted model counting the rule
-turns path enumeration into variable elimination.
+draw-free quantifier or run (of its free variables), a draw-free operand
+or body of a drawing node (of its free variables), and a drawing node's
+computations (of its arguments' variables).  A table that holds more
+than ``_KEPT`` values after a call starts over.  On the bind chains of
+weighted model counting the rule eliminates variables, not paths.
 
 Each binder fixes a *value fact* about its variable at compile time: a
 quantifier over a finite sort or an interval's fixed points, a bind over
@@ -82,7 +85,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import filterfalse
+from itertools import count, filterfalse
 from typing import Callable, Dict, FrozenSet, Optional
 
 from . import effects, model, syntax
@@ -152,7 +155,8 @@ def compile_formula(
     draws.  Applying the result turns the valuation into one-row columns
     and hands the root to the monad: the exact kinds evaluate it once,
     the sampler first evaluates it on no draws, so that errors needing no
-    draw come first, and returns the sampler of its draws.
+    draw come first, and returns the sampler of its draws.  The result's
+    ``free`` names the formula's free variables, sorted.
     """
     monad, alg = effects.monad(fw.monad_kind), fw.algebra
     # each bound variable's value fact, set by its innermost binder while
@@ -184,7 +188,7 @@ def compile_formula(
         if isinstance(f, (syntax.Forall, syntax.Exists)):
             return comp_quantifier(f, key)
         if isinstance(f, (syntax.Bind, syntax.MAtom, syntax.MProp)):
-            return comp_computation(f, key)
+            return comp_run(f, key)
         raise TypeError(f"not a formula: {f!r}")
 
     def comp_connective(f, key):
@@ -253,58 +257,93 @@ def compile_formula(
 
         return quant_fn, free, draws
 
-    def comp_computation(f, key):
-        """A bind sequences a computation into its body with the Kleisli
-        extension.  A computational atom is the bind whose body embeds each
-        outcome as a truth value; it draws at the row's own state, where a
-        bind draws at child 0 and runs its body at child 1."""
-        draws, own_state = monad.draws, not isinstance(f, syntax.Bind)
-        if own_state:
-            symbol, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
-        else:
-            symbol, args = f.mfunc, f.args
-        arg_fns, args_free = _stage_terms(interp, args)
-        run = model.compile_computational(interp, symbol)
-        monad.accept(interp.kind, symbol)
-        lookup = partial(_apply_rows, run, arg_fns)
-        if draws and not _drawn(args_free, facts):
-            # draws repeat their arguments: a computation per new restriction to them
-            lookup = partial(_Table(args_free, facts).apply, lookup)
-        if own_state:
-            var, body_free, body_draws = _OUTCOME, _CLOSED, False
+    def comp_run(f, key):
+        """A maximal run of binds ``[v1 := c1(a1)] ... [vk := ck(ak)] B``,
+        each the body of the one before, in one loop.  A computational atom
+        ends a run with a body that embeds each outcome; it draws at the
+        row's own state, where a bind draws at child 0, its body at child 1."""
+        draws, bound = monad.draws, []
+        while isinstance(f, (syntax.Bind, syntax.MAtom, syntax.MProp)):
+            if isinstance(f, syntax.Bind):
+                symbol, args, var = f.mfunc, f.args, f.var
+            else:
+                var = _OUTCOME
+                symbol, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
+            arg_names = [t.name for t in args if type(t) is syntax.Var]
+            if len(arg_names) == len(args):  # plain variables are read as they are
+                args_free = frozenset(arg_names)
+                lookup = partial(_apply_vars, model.compile_computational(interp, symbol), arg_names)
+            else:
+                arg_fns, args_free = _stage_terms(interp, args)
+                lookup = partial(_apply_rows, model.compile_computational(interp, symbol), arg_fns)
+            monad.accept(interp.kind, symbol)
+            if draws and not _drawn(args_free, facts):
+                # draws repeat their arguments: a computation per new restriction to them
+                lookup = partial(_Table(args_free, facts).apply, lookup)
+            bound.append((var, lookup, args_free, facts.get(var)))
+            if var is _OUTCOME:
+                break
+            facts[var] = model.computational_fact(interp, symbol)
+            f, key = f.body, _key_child(key, 0)
+        if var is _OUTCOME:
             embed = alg.embed if monad.reads_rows else _no_classical_reading
             body = lambda cols, n, states: list(map(embed, cols[_OUTCOME]))
+            free, body_draws = _CLOSED, False
         else:
-            var = f.var
-            shadowed, facts[var] = facts.get(var), model.computational_fact(interp, symbol)
-            body, body_free, body_draws = comp(f.body, _key_child(key, 0))
+            body, free, body_draws = comp(f, key)
             if draws and not body_draws:
-                body = _grouped(f.body, body, body_free, facts)
-            facts[var] = shadowed
+                body = _grouped(f, body, free, facts)
+        # backward, each level's frontier: the variables the rest of the run
+        # reads.  The exact kinds number a level's rows on it, unless it keeps
+        # the level's variable and all its rows' ones, so no row can repeat.
+        levels = []
+        for var, lookup, args_free, shadowed in reversed(bound):
+            rest = free - {var}
+            repeats = levels and not draws and not (var in free and args_free <= rest)
+            frontier = _Table(free, facts) if repeats else None
+            levels.append((var, lookup, tuple(rest), body_draws, frontier))
+            if var is not _OUTCOME:
+                facts[var] = shadowed
+            free, body_draws = args_free | rest, True
+        levels.reverse()
         expand, fold, pin = monad.expand, monad.fold, alg.pin
-        body_names = body_free - {var}
-        names, free = tuple(body_names), args_free | body_names
-        # a draw-free computation node is exact, so no variable holds draws
-        table = None if draws else _Table(free, facts)
 
-        def computation_fn(cols, n, states):
-            if table is not None:
-                keys, new, cols = table.new_rows(cols, n)
-                n = len(new)
+        def draw_fn(cols, n, states):
+            if not n:
+                return []
+            if states is None:
+                levels[0][1](cols, n)
+                return [None] * n  # no draws: only the outer computations are built
+            for var, lookup, names, body_draws, _ in levels:
+                own = states if var is _OUTCOME else child_states(states, 0)
+                cols = _extended(cols, names, None, var, expand(lookup(cols, n), own)[1])
+                states = child_states(states, 1) if body_draws else None
+            return body(cols, n, states)
+
+        if draws:
+            return draw_fn, free, True
+        table = _Table(free, facts)
+
+        def sweep_fn(cols, n, states):
+            keys, new, cols = table.new_rows(cols, n)
+            n = len(new)
             out = []
             if n:
-                comps = lookup(cols, n)
-                if draws and states is None:
-                    out = [None] * n  # no draws: only the computations were wanted
-                else:
-                    outcome_states = states if own_state or states is None else child_states(states, 0)
-                    body_states = child_states(states, 1) if body_draws else None
-                    rows, column = expand(comps, outcome_states)
-                    values = body(_extended(cols, names, rows, var, column), len(column), body_states)
-                    out = fold(rows, values, pin)
-            return out if table is None else table.spread(keys, new, out)
+                # forward: number each level's distinct frontier rows
+                passes = []
+                for var, lookup, names, _, frontier in levels:
+                    rows, column = expand(lookup(cols, n), None)
+                    cols, n, nums = _extended(cols, names, rows, var, column), len(column), None
+                    if frontier is not None:
+                        nums, cols, n = frontier.numbered(cols, n)
+                    passes.append((rows, nums))
+                out = body(cols, n, None)
+                # backward: fold each level's values from the next level's
+                for rows, nums in reversed(passes):
+                    out = fold(rows, out if nums is None else list(map(out.__getitem__, nums)), pin)
+            return table.spread(keys, new, out)
 
-        return computation_fn, free, draws
+        return sweep_fn, free, False
 
     fn, free, draws = comp(f, key)
     names = tuple(sorted(free))
@@ -319,6 +358,7 @@ def compile_formula(
             lambda n, states: fn({name: col * n for name, col in cols.items()}, n, states), draws
         )
 
+    denotation.free = names
     return denotation
 
 
@@ -363,9 +403,9 @@ class _Table:
     pairs each value with its type, which keeps ``True``, ``1`` and
     ``1.0`` apart.  Both count the same rows as new.  A call that leaves
     more than ``_KEPT`` entries starts the table over, so memory does not
-    grow with the number of valuations.  Nodes call ``new_rows`` and
-    ``spread`` from their own clause rather than through a wrapper, so
-    evaluation nests one Python frame per node.
+    grow with the number of valuations; ``numbered`` keeps nothing.  Nodes
+    call ``new_rows`` and ``spread`` from their own clause, not through a
+    wrapper, so evaluation nests one Python frame per node.
     """
 
     __slots__ = ("names", "kept", "plain")
@@ -375,23 +415,27 @@ class _Table:
         self.kept: dict = {}
         self.plain = None not in map(facts.get, self.names)
 
+    def keys(self, cols, n):
+        names = self.names
+        if self.plain and len(names) == 1:
+            return cols[names[0]]
+        columns = list(map(cols.__getitem__, names))
+        if not self.plain:
+            return list(zip(*columns, *map(map, [type] * len(columns), columns)))
+        return list(zip(*columns)) if columns else [()] * n
+
+    def columns(self, keys):
+        """The rows of the distinct ``keys``, as columns."""
+        if self.plain and len(self.names) == 1:
+            return {self.names[0]: keys}
+        return dict(zip(self.names, zip(*keys)))
+
     def new_rows(self, cols, n):
         """Every row's key, the keys not kept yet in the order they first
         occur, and those restrictions as columns."""
-        names = self.names
-        if not names:
-            keys = [()] * n
-        elif not self.plain:
-            columns = list(map(cols.__getitem__, names))
-            keys = list(zip(*columns, *map(map, [type] * len(columns), columns)))
-        elif len(names) == 1:
-            keys = cols[names[0]]
-            new = list(filterfalse(self.kept.__contains__, dict.fromkeys(keys)))
-            return keys, new, {names[0]: new}
-        else:
-            keys = list(zip(*map(cols.__getitem__, names)))
+        keys = self.keys(cols, n)
         new = list(filterfalse(self.kept.__contains__, dict.fromkeys(keys)))
-        return keys, new, dict(zip(names, zip(*new)))
+        return keys, new, self.columns(new)
 
     def spread(self, keys, new, out):
         """Keep the values ``out`` of the ``new`` keys and give every row its value."""
@@ -406,6 +450,13 @@ class _Table:
         """Each row's value of ``fn(cols, n, *extra)``, run on the new rows only."""
         keys, new, sub = self.new_rows(cols, n)
         return self.spread(keys, new, fn(sub, len(new), *extra) if new else [])
+
+    def numbered(self, cols, n):
+        """Every row's number among the distinct keys in the order they
+        first occur, the rows of those keys as columns, and their count."""
+        keys = self.keys(cols, n)
+        index = dict(zip(dict.fromkeys(keys), count()))
+        return list(map(index.__getitem__, keys)), self.columns(list(index)), len(index)
 
 
 def _grouped(f: syntax.Formula, fn, free: FrozenSet[str], facts):
@@ -422,7 +473,9 @@ def _grouped(f: syntax.Formula, fn, free: FrozenSet[str], facts):
 def _extended(cols, names, rows, var, column):
     """The ``names`` columns with row ``i`` repeated once per entry of
     ``rows[i]`` (once, when ``rows`` is None), plus ``column`` as ``var``."""
-    if rows is None or not names:
+    if not names:
+        return {var: column}
+    if rows is None:
         ext = {name: cols[name] for name in names}
     else:
         index = [i for i, row in enumerate(rows) for _ in row]
@@ -436,6 +489,11 @@ def _apply_rows(run, arg_fns, cols, n):
     if not arg_fns:
         return [run(())] * n
     return list(map(run, zip(*[fn(cols, n) for fn in arg_fns])))
+
+
+def _apply_vars(run, names, cols, n):
+    """Apply a resolved symbol to each row's values of the variables ``names``."""
+    return list(map(run, zip(*map(cols.__getitem__, names)))) if names else [run(())] * n
 
 
 def _stage_term(interp: model.Interpretation, t: syntax.Term):
@@ -482,24 +540,26 @@ def evaluate_sentence(
     Sampler-framework runs need ``budget`` and a ``seed`` in
     ``[0, 2**64)`` and report an estimate with its binomial standard
     error; the exact frameworks return the truth value directly.
-    Compilation and evaluation recurse along the formula (a quantifier's
-    items are rows of one batch), so nesting beyond the interpreter's
-    recursion limit raises :class:`NestingTooDeepError`.
+    Compilation and evaluation loop along a run of binds and recurse
+    through connectives and quantifiers (a quantifier's items are rows of
+    one batch), so a chain of binds of any length evaluates, and other
+    nesting beyond the interpreter's recursion limit raises
+    :class:`NestingTooDeepError`.
     """
     try:
-        fv = syntax.free_vars(f)
-        if fv:
-            names = ", ".join(name for name, _ in fv)
-            raise OpenFormulaError(f"sentence has free variables: {names}")
-        if not effects.monad(fw.monad_kind).draws:
-            value = eval_formula(f, fw, interp, {}, budget, None)
+        drawing = effects.monad(fw.monad_kind).draws
+        if drawing:
+            if budget is None or seed is None:
+                raise BudgetMissingError("sampler evaluation needs a sample budget and a seed")
+            if not 0 <= seed < 1 << 64:
+                raise ParamOutOfRangeError(f"seed {seed} is outside [0, 2**64)")
+            root = RandomKey(seed)
+        denotation = compile_formula(f, fw, interp, budget, root.child(1) if drawing else None)
+        if denotation.free:
+            raise OpenFormulaError(f"sentence has free variables: {', '.join(denotation.free)}")
+        value = denotation({})
+        if not drawing:
             return EvalReport(value=value, monad_kind=fw.monad_kind, algebra=fw.algebra_name)
-        if budget is None or seed is None:
-            raise BudgetMissingError("sampler evaluation needs a sample budget and a seed")
-        if not 0 <= seed < 1 << 64:
-            raise ParamOutOfRangeError(f"seed {seed} is outside [0, 2**64)")
-        root = RandomKey(seed)
-        value = eval_formula(f, fw, interp, {}, budget, root.child(1))
         realized = effects.realize(value, budget, root.child(0))
         return EvalReport(
             value=realized.value,

@@ -532,40 +532,42 @@ def parse_formula(
 
 
 def free_vars(f: Formula) -> Tuple[Tuple[str, str], ...]:
-    """Free variables with sorts, in first-occurrence order."""
+    """Free variables with sorts, in first-occurrence order.
+
+    A run of binders, each the body of the one before, is walked in a
+    loop, so a chain of any length takes no recursion frame per bind."""
     seen = {}
+    bound = {}  # binders in scope per variable name
 
-    def add(name, sort):
-        if name not in seen:
-            seen[name] = sort
-
-    def walk_term(t, bound):
+    def walk_term(t):
         if isinstance(t, Var):
-            if t.name not in bound:
-                add(t.name, t.sort)
+            if not bound.get(t.name) and t.name not in seen:
+                seen[t.name] = t.sort
         elif isinstance(t, App):
             for a in t.args:
-                walk_term(a, bound)
+                walk_term(a)
 
-    def walk(f, bound):
-        if isinstance(f, (Top, Bot, Prop, MProp)):
-            return
+    def walk(f):
+        binders = []
+        while isinstance(f, (Forall, Exists, Bind)):
+            if isinstance(f, Bind):
+                for t in f.args:
+                    walk_term(t)
+            bound[f.var] = bound.get(f.var, 0) + 1
+            binders.append(f.var)
+            f = f.body
         if isinstance(f, (Atom, MAtom)):
             for t in f.args:
-                walk_term(t, bound)
+                walk_term(t)
         elif isinstance(f, Not):
-            walk(f.body, bound)
+            walk(f.body)
         elif isinstance(f, (And, Or, Implies)):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body, bound | {f.var})
-        elif isinstance(f, Bind):
-            for t in f.args:
-                walk_term(t, bound)
-            walk(f.body, bound | {f.var})
+            walk(f.left)
+            walk(f.right)
+        for name in binders:
+            bound[name] -= 1
 
-    walk(f, frozenset())
+    walk(f)
     return tuple(seen.items())
 
 

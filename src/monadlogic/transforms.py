@@ -10,11 +10,12 @@ Weighted model counting closes a classical query over network variables
 with a chain of binds ``[x1 := cpd_x1(), x2 := cpd_x2(parents), ...]F``;
 its distributional evaluation equals the explicit sum over variable
 valuations, which ``wmc_bruteforce`` computes independently.  The
-evaluator runs each bind on a batch of rows and groups them by their
-values of the bind's free variables, computing each group once, so the
-chain is summed out variable by variable in topological order: the cost
-is exponential only in the frontier width (the most variables any bind's
-continuation still needs), not in the number of variables.
+evaluator runs the chain as one loop: a forward sweep keeps each bind's
+distinct rows on the variables the rest of the chain still reads, and a
+backward sweep folds them, so the chain is summed out variable by
+variable in topological order: the cost is exponential only in the
+frontier width (the most variables any bind's continuation still needs),
+not in the number of variables, and a chain of any length evaluates.
 ``wmc_bruteforce`` stays exponential in the number of variables.
 """
 

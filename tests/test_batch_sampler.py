@@ -125,7 +125,8 @@ def cli_line(capsys, demo_dir, formula_args, samples, seed):
 class TestPinnedOutputs:
     """Lines recorded from earlier samplers: the README weather demo and the
     450-point quantifier from the per-draw one the batch path replaced, the
-    rest from the batch path before its key states stayed packed."""
+    eight-step chain from the nested bind nodes the run clause replaced,
+    the rest from the batch path before its key states stayed packed."""
 
     def test_readme_weather_demo(self, capsys, demo_dir):
         code, out, _ = cli_line(
@@ -168,6 +169,15 @@ class TestPinnedOutputs:
                              30000, 5)
         assert (code, out) == (
             0, "estimate=0.47053333333333336 stderr=0.0028817339430486149 samples=30000 seed=5\n")
+
+    def test_eight_step_hidden_markov_chain(self, capsys, tmp_path):
+        # one run of nine binds, drawn level by level along child 0 and
+        # child 1; 20000 draws are 19 full chunks and a part
+        hops = "".join(f"[h{t} := step(h{t - 1})]" for t in range(2, 9))
+        code, out = doc_line(capsys, tmp_path, CHAIN_SIG, CHAIN_INTERP,
+                             f"[h1 := init()]{hops}[o := emit(h8)] eqo(o, 1)", 20000, 8)
+        assert (code, out) == (
+            0, "estimate=0.51644999999999996 stderr=0.003533619939240778 samples=20000 seed=8\n")
 
     def test_bernoulli_normal_and_uniform_real(self, capsys, tmp_path):
         code, out = doc_line(capsys, tmp_path, MIX_SIG, MIX_INTERP,
@@ -233,6 +243,25 @@ class TestBatches:
 
         out = effects.realize(Sampler(draw=draw), budget=2 * effects.CHUNK + 3, key=RandomKey(1))
         assert sizes == [effects.CHUNK, effects.CHUNK, 3] and out.value == 1.0
+
+    def test_full_chunks_share_their_repeated_words(self):
+        # the words a full chunk repeats across its lanes are built once per call
+        batches = []
+
+        def draw(states):
+            batches.append(states)
+            return [True] * len(states)
+
+        def uniforms(states):
+            return effects.uniforms(effects.child_states(states, 1))
+
+        key = RandomKey(5)
+        effects.realize(Sampler(draw=draw), budget=2 * effects.CHUNK + 3, key=key)
+        first, second, last = batches
+        assert first.repeats is second.repeats and last.repeats is not first.repeats
+        for start, batch in zip(range(0, 3 * effects.CHUNK, effects.CHUNK), batches):
+            fresh = effects.draw_states(key, start, start + len(batch))
+            assert batch.tolist() == fresh.tolist() and uniforms(batch) == uniforms(fresh)
 
     def test_batch_states_follow_the_key_tree(self):
         key = RandomKey(8).child(2)

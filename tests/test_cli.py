@@ -8,9 +8,20 @@ import sys
 
 import pytest
 
-from monadlogic import DISTRIBUTION, Dist, NONEMPTY_SET, load_interpretation, parse_signature
-from monadlogic import effects
-from monadlogic.errors import FormulaSyntaxError, SchemaError
+from monadlogic import (
+    DISTRIBUTION,
+    NONEMPTY_SET,
+    Dist,
+    EnumDomain,
+    Interpretation,
+    evaluate_sentence,
+    load_interpretation,
+    make_algebra,
+    make_framework,
+    parse_signature,
+)
+from monadlogic import effects, syntax
+from monadlogic.errors import FormulaSyntaxError, NestingTooDeepError, SchemaError
 from monadlogic.cli import main
 
 
@@ -436,14 +447,36 @@ class TestNestingTooDeep:
             *run(capsys, *eval_args(demo_dir, "mnist", "dist", "product", formula))
         )
 
-    def test_long_wmc_chain(self, capsys, tmp_path):
-        self.assert_nesting_error(*run(capsys, *chain_wmc_args(tmp_path, 1000)))
-
     def test_450_variable_wmc_chain_still_evaluates(self, capsys, tmp_path):
-        # the longest chains that evaluate nest one frame per bind and node;
-        # evaluation must not nest deeper than compilation does
+        # the line printed when each bind of the chain nested Python frames
         code, out, err = run(capsys, *chain_wmc_args(tmp_path, 450))
         assert (code, out, err) == (0, "wmc=0.40000000000000036\n", "")
+
+    def test_deeply_nested_formulas_built_in_the_library(self):
+        # the parser stops deep text first; a built formula reaches the evaluator
+        interp = Interpretation(kind=DISTRIBUTION, sorts={"S": EnumDomain((0, 1))})
+        fw = make_framework(DISTRIBUTION, make_algebra("product"))
+        conj, quant = syntax.Top(), syntax.Top()
+        for i in range(5000):
+            conj = syntax.And(conj, syntax.Top())
+            quant = syntax.Forall(f"x{i}", "S", quant)
+        for f in (conj, quant):
+            with pytest.raises(NestingTooDeepError):
+                evaluate_sentence(f, fw, interp)
+
+
+class TestLongWmcChains:
+    """A run of binds compiles and evaluates in a loop, so a chain of any
+    length evaluates; each variable of the chain converges on 0.4."""
+
+    def test_1000_variable_chain(self, capsys, tmp_path):
+        code, out, err = run(capsys, *chain_wmc_args(tmp_path, 1000))
+        assert (code, out, err) == (0, "wmc=0.40000000000000036\n", "")
+
+    def test_10000_variable_chain(self, capsys, tmp_path):
+        code, out, err = run(capsys, *chain_wmc_args(tmp_path, 10000))
+        assert code == 0 and err == "" and out.startswith("wmc=")
+        assert abs(float(out[len("wmc="):]) - 0.4) <= 1e-12, out
 
 
 class TestNonFiniteParameters:

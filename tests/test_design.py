@@ -8,6 +8,10 @@ so ``semantics.py`` never compares against a monad kind and
 an interpretation's table rows and ``bernoulli`` coins, and says whether
 continuous sorts and builtins are allowed (``draws``), so ``model.py``
 never compares against a monad kind either.
+
+A bind is one clause: a run of binds, each the body of the one before,
+compiles and evaluates in one loop, and a computational atom is a run of
+one, so ``compile_formula`` has no second bind path.
 """
 
 import ast
@@ -61,3 +65,46 @@ def test_the_guard_sees_a_ladder():
         "    return alg.name.startswith('lifted_')\n"
     )
     assert len(ladder_tests(source)) == 4
+
+
+RUN_NODES = {"Bind", "MAtom", "MProp"}
+
+
+def _names_run_nodes(node):
+    return any(isinstance(n, ast.Attribute) and n.attr in RUN_NODES for n in ast.walk(node))
+
+
+def bind_clauses(source):
+    """The functions of ``source`` that name a bind or a computational
+    atom: the nested clauses of each top-level function (but for the
+    dispatcher ``comp``), and the top-level functions that name one
+    outside their clauses."""
+    found = []
+    for outer in ast.parse(textwrap.dedent(source)).body:
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        clauses = [n for n in outer.body if isinstance(n, ast.FunctionDef)]
+        found += [c.name for c in clauses if c.name != "comp" and _names_run_nodes(c)]
+        rest = [n for n in outer.body if not isinstance(n, ast.FunctionDef)]
+        if any(map(_names_run_nodes, rest)):
+            found.append(outer.name)
+    return found
+
+
+def test_compile_formula_has_one_bind_clause():
+    assert bind_clauses(inspect.getsource(semantics)) == ["comp_run"]
+
+
+def test_the_guard_sees_a_second_bind_path():
+    source = (
+        "def compile_formula(f):\n"
+        "    def comp(f):\n"
+        "        return isinstance(f, syntax.Bind)\n"
+        "    def comp_run(f):\n"
+        "        return syntax.Bind\n"
+        "    def comp_atom(f):\n"
+        "        return isinstance(f, (syntax.MAtom, syntax.MProp))\n"
+        "def _bind_fn(f):\n"
+        "    return f.body if isinstance(f, syntax.Bind) else f\n"
+    )
+    assert bind_clauses(source) == ["comp_run", "comp_atom", "_bind_fn"]

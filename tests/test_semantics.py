@@ -104,7 +104,7 @@ class TestClassical:
         interp = Interpretation(kind=IDENTITY, sorts={"B": EnumDomain((0,))},
                                 preds={"p": TableFunc({(0,): True})})
         f = parse_formula("p(x)", sig, free={"x": "B"})
-        with pytest.raises(OpenFormulaError):
+        with pytest.raises(OpenFormulaError, match="^sentence has free variables: x$"):
             evaluate_sentence(f, classical(), interp)
 
 

@@ -258,6 +258,21 @@ class TestFreeVars:
         f = parse_formula("p(b, a) & p(a, b)", sig, free={"a": "S", "b": "S"})
         assert free_vars(f) == (("b", "S"), ("a", "S"))
 
+    def test_a_chain_of_10000_binds(self):
+        # a run of binders is walked in a loop; each bind reads the variable
+        # bound before it, the first reads the free y, the body reads z
+        f = Atom("p", (Var("x9999", "S"), Var("z", "S")))
+        for i in reversed(range(10000)):
+            f = Bind(f"x{i}", "m", (Var(f"x{i - 1}" if i else "y", "S"),), f)
+        assert free_vars(f) == (("y", "S"), ("z", "S"))
+
+    def test_a_rebinding_run_scopes_each_argument_outside_its_bind(self):
+        # [x := m(x)] [y := m(x)] exists x:S. p(x, w), built as the parser
+        # rejects shadowing: only the first m reads the free x
+        x, w = Var("x", "S"), Var("w", "S")
+        f = Bind("x", "m", (x,), Bind("y", "m", (x,), Exists("x", "S", Atom("p", (x, w)))))
+        assert free_vars(f) == (("x", "S"), ("w", "S"))
+
 
 TRAFFIC_SIG = Signature(
     sorts=frozenset(("Crossing", "Colour", "Action")),

@@ -269,13 +269,8 @@ def compile_formula(
             else:
                 var = _OUTCOME
                 symbol, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
-            arg_names = [t.name for t in args if type(t) is syntax.Var]
-            if len(arg_names) == len(args):  # plain variables are read as they are
-                args_free = frozenset(arg_names)
-                lookup = partial(_apply_vars, model.compile_computational(interp, symbol), arg_names)
-            else:
-                arg_fns, args_free = _stage_terms(interp, args)
-                lookup = partial(_apply_rows, model.compile_computational(interp, symbol), arg_fns)
+            arg_fns, args_free = _stage_terms(interp, args)
+            lookup = partial(_apply_rows, model.compile_computational(interp, symbol), arg_fns)
             monad.accept(interp.kind, symbol)
             if draws and not _drawn(args_free, facts):
                 # draws repeat their arguments: a computation per new restriction to them
@@ -489,11 +484,6 @@ def _apply_rows(run, arg_fns, cols, n):
     if not arg_fns:
         return [run(())] * n
     return list(map(run, zip(*[fn(cols, n) for fn in arg_fns])))
-
-
-def _apply_vars(run, names, cols, n):
-    """Apply a resolved symbol to each row's values of the variables ``names``."""
-    return list(map(run, zip(*map(cols.__getitem__, names)))) if names else [run(())] * n
 
 
 def _stage_term(interp: model.Interpretation, t: syntax.Term):

@@ -212,6 +212,19 @@ class TestCacheKeys:
                     denotation({"x": x, "y": y, "unused": unused})
         assert rows.lookups == {(v,): 3 for v in VALUES}
 
+    def test_inner_binds_of_an_open_run_are_numbered_within_one_call(self):
+        # only the run's table on (x, y) is kept across calls: each new (x, y)
+        # looks m up at x and at both outcomes w, which a later call with
+        # the same w does again
+        interp, rows = counting_interp(DISTRIBUTION)
+        f = parse_formula("[w := m(x)] [z := m(w)] r(z, y)", SIG, free={"x": "S", "y": "S"})
+        denotation = compile_formula(f, framework(DISTRIBUTION), interp)
+        for x in VALUES:
+            for y in VALUES:
+                for unused in range(2):
+                    denotation({"x": x, "y": y, "unused": unused})
+        assert rows.lookups == {(v,): 9 for v in VALUES}
+
     def test_true_and_one_are_separate_entries(self):
         sig = Signature(
             sorts=frozenset(("N",)),

@@ -16,6 +16,7 @@ from monadlogic import (
     Dist,
     EnumDomain,
     Interpretation,
+    RealIntervalDomain,
     TableFunc,
     argmax_interpretation,
     eval_formula,
@@ -32,6 +33,7 @@ from monadlogic.errors import (
     KindMismatchError,
     OpenFormulaError,
 )
+from monadlogic.model import BuiltinFunc, UniformDensity
 from monadlogic.syntax import Signature
 
 from helpers import finite_system, interpret
@@ -106,6 +108,25 @@ class TestClassical:
         f = parse_formula("p(x)", sig, free={"x": "B"})
         with pytest.raises(OpenFormulaError, match="^sentence has free variables: x$"):
             evaluate_sentence(f, classical(), interp)
+
+    def test_compile_errors_come_before_an_open_formula(self):
+        # the free variables are read off the compiled denotation, so an
+        # error that compiling raises is reported first, under every kind
+        sig = Signature(frozenset(("R",)), mfuncs={"m": (("R",), "R")}, preds={"lt": ("R", "R")})
+        interp = Interpretation(
+            kind=IDENTITY,
+            sorts={"R": RealIntervalDomain(0.0, 1.0, UniformDensity())},
+            mfuncs={"m": CTable({})},
+            preds={"lt": BuiltinFunc("lt")},
+        )
+        quantified = parse_formula("forall t:R. lt(t, x)", sig, free={"x": "R"})
+        with pytest.raises(BudgetMissingError, match="continuous sort 'R'"):
+            evaluate_sentence(quantified, dist(), interp)
+        bound = parse_formula("[z := m(x)] lt(z, x)", sig, free={"x": "R"})
+        with pytest.raises(KindMismatchError):
+            evaluate_sentence(bound, dist(), interp)
+        with pytest.raises(OpenFormulaError, match="^sentence has free variables: x$"):
+            evaluate_sentence(bound, classical(), interp)
 
 
 @pytest.fixture(scope="module")

@@ -65,10 +65,7 @@ def _fmt_value(value, machine: bool) -> str:
 
 def _load_system(args):
     sig = parse_signature(_read(args.sig, FormulaSyntaxError))
-    monad_kind = _FRAMEWORKS[args.framework]
-    doc = _read_json(args.interp) if args.interp else None
-    interp = model.load_interpretation(doc, sig, monad_kind) if doc is not None else None
-    return sig, doc, interp, monad_kind
+    return sig, model.load_interpretation(_read_json(args.interp), sig, _FRAMEWORKS[args.framework])
 
 
 def _formula_text(args) -> str:
@@ -84,7 +81,7 @@ def cmd_eval(args) -> int:
     monad_kind = _FRAMEWORKS[args.framework]
     algebra = parse_algebra_string(args.algebra)
     framework = semantics.make_framework(monad_kind, algebra)
-    sig, _, interp, _ = _load_system(args)
+    sig, interp = _load_system(args)
     sampling = effects.monad(monad_kind).draws
     if sampling and (args.samples is None or args.seed is None):
         raise BudgetMissingError("the sampler framework requires --samples and --seed")

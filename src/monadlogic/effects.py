@@ -13,11 +13,11 @@ computations (the Kleisli extension), with the usual laws
 
 holding exactly for the finite kinds and statistically for samplers.  The
 module functions :func:`unit`, :func:`bind` and :func:`realize` dispatch
-to the monad of a kind or of a computation.  A monad value also holds
-what the evaluator needs of it: the truth algebras it pairs with, how a
-computation over the truth basis reads as a truth value, the two halves
-of a batch bind, ``expand`` and ``fold``, and how an interpretation's
-table rows and ``bernoulli`` coins become its computations.
+to the monad of a kind or of a computation.  A monad value implements
+the Kleisli extension once, as the evaluator's batch bind (``expand``,
+then ``fold`` or ``join``), from which its scalar ``bind`` and ``truth``
+derive; it also holds the truth algebras it pairs with and how an
+interpretation's table rows and ``bernoulli`` coins become computations.
 
 Randomness is never global: every draw is a pure function of a
 :class:`RandomKey`, so sampling is reproducible bit-for-bit given
@@ -590,22 +590,26 @@ def _expect_kind(c: Computation, kind: str) -> Computation:
 class Monad:
     """A computation monad, as the library and the evaluator use it.
 
-    ``algebras`` names the truth algebras it pairs with and ``carrier`` the
-    carrier of the boolean algebra lifted over it.  ``truth`` reads a
-    computation over the truth basis as a truth value, and ``embed`` is its
-    inverse.  A batch bind takes each row's computation, asks ``expand``
+    A monad implements ``unit``, ``embed``, ``load``, ``row``, ``coin``,
+    ``expand`` and ``fold``/``join``; ``bind``, ``truth`` and ``outcomes``
+    derive from them.  ``algebras`` names the truth algebras it pairs with
+    and ``carrier`` the carrier of the boolean algebra lifted over it.
+    ``truth`` reads a computation over the truth basis as a truth value,
+    ``embed`` is its inverse, and ``bases`` are the truth values of False
+    and True.  A batch bind takes each row's computation, asks ``expand``
     for the outcomes, evaluates the body once at every outcome of every row
-    and asks ``fold`` for each row's value.  A monad that ``draws`` gives a
-    row one outcome, drawn at the row's key state, and its rows' truth
-    values are basis values; ``reads_rows`` is False where a computational
-    predicate has no reading.  ``load`` keeps a parsed table row of an
-    interpretation document in the form ``row`` turns into a computation,
-    and ``coin`` is ``bernoulli``.
+    and asks ``fold`` for each row's truth value (``join`` for its
+    computation).  A monad that ``draws`` gives a row one outcome, drawn at
+    the row's key state, and its rows' truth values are basis values;
+    ``reads_rows`` is False where a computational predicate has no reading.
+    ``load`` keeps a parsed table row of an interpretation document in the
+    form ``row`` turns into a computation, and ``coin`` is ``bernoulli``.
     """
 
     kind: str
     algebras: Tuple[str, ...]
     carrier: str
+    bases: tuple
     draws = False
     reads_rows = True
 
@@ -632,9 +636,18 @@ class Monad:
         return row
 
     def outcomes(self, rows) -> List[Value]:
-        """The values that stored rows can yield, every row's in turn:
-        here their supports."""
-        return [v for stored in rows for v, _ in stored.pairs]
+        """The values that stored rows can yield, every row's in turn."""
+        return self.expand([self.row(stored) for stored in rows], None)[1]
+
+    def bind(self, c: Computation, k: Callable[[Value], Computation]) -> Computation:
+        """The Kleisli extension: ``k`` at every outcome of ``c``, joined."""
+        rows, outcomes = self.expand([c], None)
+        return self.join(rows, [_expect_kind(k(a), self.kind) for a in outcomes])
+
+    def truth(self, c: Computation):
+        """The fold of the basis values of ``c``'s outcomes."""
+        rows, outcomes = self.expand([c], None)
+        return self.fold(rows, [self.bases[basis(v)] for v in outcomes], snap01)[0]
 
     def realize(self, c: Computation, budget: int = None, key: RandomKey = None) -> Realization:
         return Realization(self.truth(c))
@@ -643,6 +656,11 @@ class Monad:
         """Each row's value: with one outcome per row, the body's value."""
         return values
 
+    def join(self, rows, comps: List[Computation]) -> Computation:
+        """One expanded row's computation from the body's at its outcomes:
+        with one outcome, the body's."""
+        return comps[0]
+
     def result(self, run: Callable, draws: bool):
         """The value at one valuation of a batch denotation ``run(n, states)``."""
         return run(1, None)[0]
@@ -650,16 +668,11 @@ class Monad:
 
 class _Identity(Monad):
     kind, algebras, carrier = IDENTITY, ("boolean",), "bool"
+    bases = (False, True)
     reads_rows = False  # computational predicates have no classical reading
 
     def unit(self, v):
         return Pure(v)
-
-    def bind(self, c, k):
-        return _expect_kind(k(c.value), IDENTITY)
-
-    def truth(self, c):
-        return basis(c.value)
 
     def embed(self, t):
         return Pure(t)
@@ -674,9 +687,6 @@ class _Identity(Monad):
     def row(self, stored):
         return Pure(stored)
 
-    def outcomes(self, rows):
-        return list(rows)
-
     def coin(self, p):
         if p in (0.0, 1.0):
             return Pure(int(p))
@@ -689,18 +699,10 @@ class _Identity(Monad):
 
 class _Set(Monad):
     kind, algebras, carrier = NONEMPTY_SET, ("priest",), "lp3"
+    bases = (LP3.F, LP3.T)
 
     def unit(self, v):
         return NESet((v,))
-
-    def bind(self, c, k):
-        out = set()
-        for a in c.values:
-            out |= _expect_kind(k(a), NONEMPTY_SET).values
-        return NESet(out)
-
-    def truth(self, c):
-        return LP3.from_members(basis(v) for v in c.values)
 
     def embed(self, t):
         return NESet(t.members)
@@ -712,9 +714,6 @@ class _Set(Monad):
 
     def row(self, stored):
         return NESet(stored)
-
-    def outcomes(self, rows):
-        return [v for stored in rows for v in stored]
 
     def coin(self, p):
         return NESet({int(p)} if p in (0.0, 1.0) else {0, 1})
@@ -735,27 +734,18 @@ class _Set(Monad):
             out.append(LP3.from_members(members))
         return out
 
+    def join(self, rows, comps):
+        """The union of the candidates."""
+        return NESet(v for c in comps for v in c.values)
+
 
 class _Dist(Monad):
     kind, carrier = DISTRIBUTION, "prob"
     algebras = ("product", "sproduct", "ltn_p", "ltn_q", "stl_r")
+    bases = (0.0, 1.0)
 
     def unit(self, v):
         return Dist(((v, 1.0),))
-
-    def bind(self, c, k):
-        acc: dict = {}
-        for a, p in c.pairs:
-            for b, q in _expect_kind(k(a), DISTRIBUTION).pairs:
-                acc[b] = acc.get(b, 0.0) + p * q
-        return Dist(acc.items())
-
-    def truth(self, c):
-        total = 0.0
-        for v, p in c.pairs:
-            if basis(v):
-                total += p
-        return snap01(total)
 
     def embed(self, p):
         return Dist(((True, p), (False, 1.0 - p)))
@@ -782,6 +772,10 @@ class _Dist(Monad):
                 total += p * v
             out.append(pin(total))
         return out
+
+    def join(self, rows, comps):
+        """The mixture: each distribution weighted by its outcome's mass."""
+        return Dist((b, p * q) for (_, p), c in zip(rows[0], comps) for b, q in c.pairs)
 
 
 class _Sampler(Monad):
@@ -818,6 +812,10 @@ class _Sampler(Monad):
 
     def embed(self, s):
         return s
+
+    def outcomes(self, rows):
+        """The supports of the stored distributions."""
+        return [v for stored in rows for v, _ in stored.pairs]
 
     def row(self, stored):
         """Draw a stored distribution by inverse CDF: the first value whose

@@ -352,17 +352,21 @@ class _Parser:
         return cls(var, sort, body)
 
     def _bind(self) -> Formula:
-        # assignments desugar left-to-right, so each one sees the previous
+        # assignments desugar left-to-right, so each one sees the previous;
+        # consecutive brackets read as one list, so a run takes no frame per bind
         self._expect("[")
         assigns = []
         while True:
             assign = self._assign()
             self._bind_var(assign[0], assign[2])
             assigns.append(assign)
-            if self._peek()[1] != ",":
+            if self._peek()[1] == ",":
+                self._next()
+                continue
+            self._expect("]")
+            if self._peek()[1] != "[":
                 break
             self._next()
-        self._expect("]")
         body = self.formula()
         for var, _, _, _ in reversed(assigns):
             self._unbind_var(var)
@@ -627,6 +631,9 @@ def pretty(f: Formula) -> str:
         word = "forall" if isinstance(f, Forall) else "exists"
         return f"{word} {f.var}:{f.sort}. {pretty(f.body)}"
     if isinstance(f, Bind):
-        args = ", ".join(pretty_term(a) for a in f.args)
-        return f"[{f.var} := {f.mfunc}({args})] {pretty(f.body)}"
+        run = []  # a loop, so a run of any length takes no frame per bind
+        while isinstance(f, Bind):
+            run.append(f"[{f.var} := {f.mfunc}({', '.join(map(pretty_term, f.args))})] ")
+            f = f.body
+        return "".join(run) + pretty(f)
     raise TypeError(f"not a formula: {f!r}")

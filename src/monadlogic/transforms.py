@@ -21,7 +21,7 @@ not in the number of variables, and a chain of any length evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from . import effects, model, semantics, syntax
@@ -73,11 +73,9 @@ def argmax_interpretation(
             )
         return out
 
-    return model.Interpretation(
+    return replace(
+        interp,
         kind=effects.NONEMPTY_SET,
-        sorts=interp.sorts,
-        funcs=interp.funcs,
-        preds=interp.preds,
         mfuncs=transform(interp.mfuncs),
         mpreds=transform(interp.mpreds),
     )
@@ -152,22 +150,8 @@ def load_network(doc: dict, sig: syntax.Signature, interp: model.Interpretation)
     if not net_vars:
         raise SchemaError("network needs at least one variable")
 
-    sig2 = syntax.Signature(
-        sorts=sig.sorts,
-        funcs=sig.funcs,
-        mfuncs=new_mfuncs,
-        preds=sig.preds,
-        mpreds=sig.mpreds,
-    )
-    interp2 = model.Interpretation(
-        kind=interp.kind,
-        sorts=interp.sorts,
-        funcs=interp.funcs,
-        mfuncs=new_impls,
-        preds=interp.preds,
-        mpreds=interp.mpreds,
-    )
-    return Network(tuple(net_vars)), sig2, interp2
+    network = Network(tuple(net_vars))
+    return network, replace(sig, mfuncs=new_mfuncs), replace(interp, mfuncs=new_impls)
 
 
 def wmc_build(network: Network, formula: syntax.Formula) -> syntax.Formula:

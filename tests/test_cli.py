@@ -185,6 +185,12 @@ class TestEval:
         )
         assert code == 1 and err.startswith("error: IO")
 
+    def test_empty_interpretation_path_is_an_io_error(self, capsys, demo_dir):
+        argv = list(eval_args(demo_dir, "mnist", "dist", "product", "[n := classify(im1)] eq(n, 1)"))
+        argv[argv.index("--interp") + 1] = ""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: IO") and err.count("\n") == 1
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["eval"]) == 1
         capsys.readouterr()

@@ -9,6 +9,11 @@ an interpretation's table rows and ``bernoulli`` coins, and says whether
 continuous sorts and builtins are allowed (``draws``), so ``model.py``
 never compares against a monad kind either.
 
+Each exact monad implements its Kleisli extension once, as the
+evaluator's ``expand`` and ``fold``/``join``: the scalar ``bind`` and
+``truth`` come from ``effects.Monad``, and only the sampler, whose
+outcomes are drawn at key states, has its own.
+
 A bind is one clause: a run of binds, each the body of the one before,
 compiles and evaluates in one loop, and a computational atom is a run of
 one, so ``compile_formula`` has no second bind path.
@@ -18,7 +23,7 @@ import ast
 import inspect
 import textwrap
 
-from monadlogic import algebra, model, semantics
+from monadlogic import algebra, effects, model, semantics
 
 KINDS = {"IDENTITY", "NONEMPTY_SET", "DISTRIBUTION", "SAMPLER", "monad_kind"}
 
@@ -108,3 +113,9 @@ def test_the_guard_sees_a_second_bind_path():
         "    return f.body if isinstance(f, syntax.Bind) else f\n"
     )
     assert bind_clauses(source) == ["comp_run", "comp_atom", "_bind_fn"]
+
+
+def test_only_the_sampler_has_its_own_scalar_bind():
+    own = {type(m).__name__: sorted({"bind", "truth"} & set(vars(type(m))))
+           for m in effects.MONADS.values()}
+    assert own == {"_Identity": [], "_Set": [], "_Dist": [], "_Sampler": ["bind", "truth"]}

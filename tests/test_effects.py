@@ -173,6 +173,29 @@ class TestMonadLawsExact:
             )
 
 
+class TestKleisliStep:
+    """The evaluator's batch bind and the scalar one agree: folding the
+    body's truth values over ``expand`` gives the truth of the bind of the
+    embedded body, exactly."""
+
+    TRUTH = {
+        IDENTITY: lambda rng: rng.random() < 0.5,
+        NONEMPTY_SET: lambda rng: rng.choice((LP3.F, LP3.B, LP3.T)),
+        DISTRIBUTION: lambda rng: rng.random(),
+    }
+
+    @pytest.mark.parametrize("kind", [IDENTITY, NONEMPTY_SET, DISTRIBUTION])
+    def test_fold_of_expand_is_truth_of_bind(self, kind):
+        m = effects.monad(kind)
+        rng = random.Random(f"kleisli:{kind}")
+        for _ in range(3000):
+            c = random_computation(rng, kind)
+            v = {a: self.TRUTH[kind](rng) for a in (0, 1, 2)}
+            rows, outcomes = m.expand([c], None)
+            folded = m.fold(rows, [v[a] for a in outcomes], effects.snap01)[0]
+            assert folded == m.truth(m.bind(c, lambda a: m.embed(v[a]))), (c, v)
+
+
 class TestRealize:
     def test_distribution_read_off(self):
         assert realize(Dist(((True, 0.25), (False, 0.75)))).value == 0.25

@@ -329,6 +329,30 @@ class TestRoundTrip:
         assert printed.count("[") == 2  # shorthand prints as nested binds
         assert parse_formula(printed, sig) == ast
 
+    CHAIN_SIG = Signature(frozenset(("S",)), mfuncs={"m0": ((), "S"), "m": (("S",), "S")},
+                          preds={"p": ("S",)})
+
+    def test_a_run_of_5000_bracketed_binds(self):
+        # consecutive brackets read and print in a loop; deep ASTs are
+        # compared through pretty, since dataclass == recurses
+        chain = [f"x{i} := m(x{i - 1})" if i else "x0 := m0()" for i in range(5000)]
+        text = "".join(f"[{a}] " for a in chain) + "p(x4999)"
+        ast = parse_formula(text, self.CHAIN_SIG)
+        assert pretty(ast) == text
+        assert pretty(parse_formula(f"[{', '.join(chain)}] p(x4999)", self.CHAIN_SIG)) == text
+
+    def test_bracket_groups_and_comma_lists_give_one_run(self):
+        texts = ("[a := m0(), b := m(a)] [c := m(b)] p(c)",
+                 "[a := m0()][b := m(a), c := m(b)] p(c)",
+                 "[a := m0(), b := m(a), c := m(b)] p(c)")
+        asts = [parse_formula(t, self.CHAIN_SIG) for t in texts]
+        assert asts[0] == asts[1] == asts[2]
+        assert pretty(asts[0]) == "[a := m0()] [b := m(a)] [c := m(b)] p(c)"
+        with pytest.raises(DuplicateSymbolError):
+            parse_formula("[a := m0()] [a := m(a)] p(a)", self.CHAIN_SIG)
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("[a := m0()] [", self.CHAIN_SIG)
+
 
 class TestNumbers:
     def test_negative_and_scientific_literals(self):

@@ -492,8 +492,8 @@ def _load_domain(name: str, spec, monad: Monad) -> Domain:
             raise SchemaError(f"sort {name!r}: density must be an object")
         dkind = density.get("kind")
         if dkind == "uniform":
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise SchemaError(f"sort {name!r}: uniform density needs finite bounds")
+            if not math.isfinite(hi - lo):
+                raise SchemaError(f"sort {name!r}: uniform density needs bounds a finite distance apart")
             return RealIntervalDomain(lo, hi, UniformDensity())
         if dkind == "normal":
             mu, sigma = _number(density.get("mu")), _number(density.get("sigma"))

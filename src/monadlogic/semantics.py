@@ -43,13 +43,22 @@ with ``and`` or ``or``) estimates the product algebra for unit weights only.
 
 A node *draws* when the monad draws and the node holds a bind or a
 computational atom.  One rule memoizes: a draw-free function of some
-variables is run once per distinct restriction of its rows to them, and
-its table of values lives as long as the denotation.  The functions are a
-draw-free quantifier or run (of its free variables), a draw-free operand
-or body of a drawing node (of its free variables), and a drawing node's
-computations (of its arguments' variables).  A table that holds more
-than ``_KEPT`` values after a call starts over.  On the bind chains of
-weighted model counting the rule eliminates variables, not paths.
+variables is run once per distinct restriction of its rows to them,
+wherever a restriction can repeat, and its table of values lives as long
+as the denotation.  The functions are a draw-free quantifier or run (of
+its free variables), a draw-free operand or body of a drawing node (of
+its free variables), and a drawing node's computations (of its
+arguments' variables).  Whether a quantifier's or a run's restrictions
+can repeat is a compile-time *row-distinctness fact*: the variables on
+which the rows of one call are pairwise distinct, or None.  The root has
+None, since a valuation can come again; a negation or connective hands
+its fact to its operands; a quantifier of an exact kind whose items are
+distinct keys hands its body its own free variables and its variable;
+run bodies, and every node under the sampler, have None.  A quantifier
+or run whose free variables include its fact keeps no table, since each
+of its rows would be new.  A table that holds more than ``_KEPT`` values
+after a call starts over.  On the bind chains of weighted model counting
+the rule eliminates variables, not paths.
 
 Each binder fixes a *value fact* about its variable at compile time: a
 quantifier over a finite sort or an interval's fixed points, a bind over
@@ -159,11 +168,18 @@ def compile_formula(
     ``free`` names the formula's free variables, sorted.
     """
     monad, alg = effects.monad(fw.monad_kind), fw.algebra
+    # free variables by node id, from one walk of each outermost
+    # quantifier that needs its own before its body compiles
+    frees: Dict[int, FrozenSet[str]] = {}
     # each bound variable's value fact, set by its innermost binder while
     # the binder's body compiles; free variables of the formula have none
     facts: Dict[str, Optional[str]] = {}
 
-    def comp(f: syntax.Formula, key: Optional[RandomKey]):
+    def comp(f: syntax.Formula, key: Optional[RandomKey], distinct_on: Optional[FrozenSet[str]]):
+        """The batch denotation of ``f``, its free variables and whether it
+        draws.  ``distinct_on`` is the node's row-distinctness fact: the
+        variables on which the rows of one call are pairwise distinct, or
+        None."""
         if isinstance(f, (syntax.Top, syntax.Bot, syntax.Prop)):
             if isinstance(f, syntax.Prop):
                 value = alg.top if model.apply_predicate(interp, f.name, ()) else alg.bot
@@ -180,20 +196,20 @@ def compile_formula(
 
             return atom_fn, free, False
         if isinstance(f, syntax.Not):
-            body, free, draws = comp(f.body, key)
+            body, free, draws = comp(f.body, key, distinct_on)
             neg = alg.neg
             return (lambda cols, n, states: list(map(neg, body(cols, n, states)))), free, draws
         if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):
-            return comp_connective(f, key)
+            return comp_connective(f, key, distinct_on)
         if isinstance(f, (syntax.Forall, syntax.Exists)):
-            return comp_quantifier(f, key)
+            return comp_quantifier(f, key, distinct_on)
         if isinstance(f, (syntax.Bind, syntax.MAtom, syntax.MProp)):
-            return comp_run(f, key)
+            return comp_run(f, key, distinct_on)
         raise TypeError(f"not a formula: {f!r}")
 
-    def comp_connective(f, key):
-        left, left_free, left_draws = comp(f.left, _key_child(key, 0))
-        right, right_free, right_draws = comp(f.right, _key_child(key, 1))
+    def comp_connective(f, key, distinct_on):
+        left, left_free, left_draws = comp(f.left, _key_child(key, 0), distinct_on)
+        right, right_free, right_draws = comp(f.right, _key_child(key, 1), distinct_on)
         op = {syntax.And: alg.conj, syntax.Or: alg.disj, syntax.Implies: alg.implies}[type(f)]
         draws = left_draws or right_draws
         if draws:
@@ -211,7 +227,7 @@ def compile_formula(
 
         return connective_fn, left_free | right_free, draws
 
-    def comp_quantifier(f, key):
+    def comp_quantifier(f, key, distinct_on):
         family = model.quantifier_family(interp, f.sort, budget, _key_child(key, 0))
         if family.is_exact:
             items = family.items()
@@ -225,12 +241,20 @@ def compile_formula(
         points = [a for _, a in items]
         size = len(points)
         var = f.var
+        # the body's rows are pairwise distinct on the quantifier's free
+        # variables and var when no two items are the same key of a table
+        # (a library enum may repeat one)
+        body_on = None
+        if not monad.draws and len(set(zip(points, map(type, points)))) == size:
+            if id(f) not in frees:
+                frees.update(syntax.free_sets(f))
+            body_on = frees[id(f)] | {var}
         # the body meets each row once per item, so a draw in scope is no
         # longer new on every row; draws are floats, hence type-faithful
         drawn = [name for name, fact in facts.items() if fact is model.CONTINUOUS]
         facts.update(dict.fromkeys(drawn, model.FAITHFUL))
         shadowed, facts[var] = facts.get(var), model.value_fact(points)
-        body, body_free, draws = comp(f.body, _key_child(key, 1))
+        body, body_free, draws = comp(f.body, _key_child(key, 1), body_on)
         facts.update(dict.fromkeys(drawn, model.CONTINUOUS))
         facts[var] = shadowed
         block = max(1, _BLOCK_ROWS // size)
@@ -239,7 +263,7 @@ def compile_formula(
             reduce = _unit_weights_only
         free = body_free - {var}
         names = tuple(free)
-        table = None if draws or _drawn(free, facts) else _Table(free, facts)
+        table = None if draws or _drawn(free, facts) or _covers(free, distinct_on) else _Table(free, facts)
 
         def quant_fn(cols, n, states):
             if table is not None:
@@ -257,7 +281,7 @@ def compile_formula(
 
         return quant_fn, free, draws
 
-    def comp_run(f, key):
+    def comp_run(f, key, distinct_on):
         """A maximal run of binds ``[v1 := c1(a1)] ... [vk := ck(ak)] B``,
         each the body of the one before, in one loop.  A computational atom
         ends a run with a body that embeds each outcome; it draws at the
@@ -285,7 +309,7 @@ def compile_formula(
             body = lambda cols, n, states: list(map(embed, cols[_OUTCOME]))
             free, body_draws = _CLOSED, False
         else:
-            body, free, body_draws = comp(f, key)
+            body, free, body_draws = comp(f, key, None)
             if draws and not body_draws:
                 body = _grouped(f, body, free, facts)
         # backward, each level's frontier: the variables the rest of the run
@@ -317,11 +341,12 @@ def compile_formula(
 
         if draws:
             return draw_fn, free, True
-        table = _Table(free, facts)
+        table = None if _covers(free, distinct_on) else _Table(free, facts)
 
         def sweep_fn(cols, n, states):
-            keys, new, cols = table.new_rows(cols, n)
-            n = len(new)
+            if table is not None:
+                keys, new, cols = table.new_rows(cols, n)
+                n = len(new)
             out = []
             if n:
                 # forward: number each level's distinct frontier rows
@@ -336,11 +361,11 @@ def compile_formula(
                 # backward: fold each level's values from the next level's
                 for rows, nums in reversed(passes):
                     out = fold(rows, out if nums is None else list(map(out.__getitem__, nums)), pin)
-            return table.spread(keys, new, out)
+            return out if table is None else table.spread(keys, new, out)
 
         return sweep_fn, free, False
 
-    fn, free, draws = comp(f, key)
+    fn, free, draws = comp(f, key, None)
     names = tuple(sorted(free))
 
     def denotation(nu):
@@ -382,6 +407,12 @@ def _no_classical_reading(v):
     )
 
 
+def _covers(free: FrozenSet[str], distinct_on: Optional[FrozenSet[str]]) -> bool:
+    """Whether rows pairwise distinct on ``distinct_on`` stay distinct when
+    restricted to ``free``, so that a table of them would never hit."""
+    return distinct_on is not None and distinct_on <= free
+
+
 def _drawn(free: FrozenSet[str], facts) -> bool:
     """Whether one of the variables ``free`` holds continuous draws, which
     make every row new, so that a table of them would never hit."""
@@ -390,7 +421,9 @@ def _drawn(free: FrozenSet[str], facts) -> bool:
 
 class _Table:
     """The values of a draw-free function of the variables ``free``, one
-    per distinct restriction of the rows to them.
+    per distinct restriction of the rows to them.  A quantifier or run
+    builds one only where a restriction can repeat: when ``free`` does
+    not include the node's row-distinctness fact.
 
     When their value ``facts`` make every variable type-faithful (no two
     of its values ``==`` with different types), a row's key is the tuple

@@ -33,7 +33,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import (
     ArityMismatchError,
@@ -573,6 +573,44 @@ def free_vars(f: Formula) -> Tuple[Tuple[str, str], ...]:
 
     walk(f)
     return tuple(seen.items())
+
+
+def _term_vars(terms) -> FrozenSet[str]:
+    """The names of the variables of ``terms``."""
+    return frozenset().union(*(
+        (t.name,) if isinstance(t, Var) else _term_vars(t.args) if isinstance(t, App) else ()
+        for t in terms
+    ))
+
+
+def free_sets(f: Formula) -> Dict[int, FrozenSet[str]]:
+    """The names of every node's free variables, keyed by the node's
+    ``id``: one pass over ``f`` that walks a run of binds in a loop."""
+    frees = {}
+
+    def walk(f):
+        run = []
+        while isinstance(f, Bind):
+            run.append(f)
+            f = f.body
+        if isinstance(f, (Atom, MAtom)):
+            free = _term_vars(f.args)
+        elif isinstance(f, Not):
+            free = walk(f.body)
+        elif isinstance(f, (And, Or, Implies)):
+            free = walk(f.left) | walk(f.right)
+        elif isinstance(f, (Forall, Exists)):
+            free = walk(f.body) - {f.var}
+        else:
+            free = frozenset()
+        frees[id(f)] = free
+        for bind in reversed(run):
+            free = _term_vars(bind.args) | (free - {bind.var})
+            frees[id(bind)] = free
+        return free
+
+    walk(f)
+    return frees
 
 
 # pretty printing

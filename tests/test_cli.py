@@ -542,6 +542,14 @@ class TestNonFiniteParameters:
             capsys, tmp_path, self.interp_text(density), "exists x:Num. eq(x, x)")
         self.assert_error(result, "Schema")
 
+    def test_uniform_density_bounds_a_finite_distance_apart(self, capsys, tmp_path):
+        # both bounds are finite floats, but hi - lo overflows, so every
+        # point would be inf, outside the interval
+        text = self.interp_text('{"kind": "uniform"}').replace(
+            '"lo": null, "hi": null', '"lo": -1e308, "hi": 1e308')
+        result = self.eval_line(capsys, tmp_path, text, "exists x:Num. lt(x, 0.5)")
+        self.assert_error(result, "Schema")
+
 
 def chain_wmc_args(tmp_path, n):
     """``wmc`` arguments for a binary chain x1 -> ... -> xn queried at xn."""

@@ -196,6 +196,25 @@ class TestKleisliStep:
             assert folded == m.truth(m.bind(c, lambda a: m.embed(v[a]))), (c, v)
 
 
+class TestKleisliStepSampled:
+    """The statistical form of the same law for the sampler, whose outcomes
+    are drawn: the realized truth of the bind of the embedded body lies
+    within 5 standard errors of the exact expectation under ``dist``."""
+
+    def test_realized_truth_of_bind_estimates_the_exact_value(self):
+        exact, sampler = effects.monad(DISTRIBUTION), effects.monad(SAMPLER)
+        rng = random.Random("kleisli:sampler")
+        for i in range(300):
+            d = random_computation(rng, DISTRIBUTION)
+            # truth probabilities away from 0 and 1, so no estimate has a
+            # standard error of 0
+            v = {a: rng.uniform(0.1, 0.9) for a in (0, 1, 2)}
+            want = exact.truth(exact.bind(d, lambda a: exact.embed(v[a])))
+            c = sampler.bind(sampler.row(d), lambda a: sampler.embed(sampler.coin(v[a])))
+            got = realize(sampler.truth(c), budget=400, key=RandomKey(i))
+            assert abs(got.value - want) <= 5 * got.stderr, (d, v, got)
+
+
 class TestRealize:
     def test_distribution_read_off(self):
         assert realize(Dist(((True, 0.25), (False, 0.75)))).value == 0.25

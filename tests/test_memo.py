@@ -29,7 +29,7 @@ from monadlogic import (
     wmc_build,
     wmc_bruteforce,
 )
-from monadlogic import effects, model
+from monadlogic import effects, model, semantics, syntax
 from monadlogic.errors import EngineError, EvalTypeError, OpenFormulaError
 from monadlogic.model import CONTINUOUS, FAITHFUL, BuiltinFunc, computational_fact, value_fact
 from monadlogic.semantics import compile_formula
@@ -452,3 +452,92 @@ class TestValueFacts:
         f = parse_formula("[t := normal(0, 1)] forall x:S. [u := normal(t, 1)] gt(u, t)", sig)
         evaluate_sentence(f, framework(SAMPLER), interp, budget=1500, seed=2)
         assert len(built) == 1 + 1500 and len(set(map(tuple, built))) == 1501
+
+
+def repeated_valuations(denotation):
+    """Apply an open denotation in ``x`` to each value of ``x`` four times,
+    twice with each value of a variable the formula does not read."""
+    for _ in range(2):
+        for x in VALUES:
+            for unused in range(2):
+                denotation({"x": x, "unused": unused})
+
+
+class TestRowDistinctness:
+    """A quantifier or run whose incoming rows are pairwise distinct on
+    variables it reads keeps no table; the values stay those of the
+    tables."""
+
+    @pytest.mark.parametrize("kind", EXACT)
+    @pytest.mark.parametrize("text, lookups", [
+        # the root quantifier's table serves repeated x; the run beneath it
+        # reads x and y, on which its rows are distinct
+        ("forall y:S. [z := m(x)] r(z, y)", 3),
+        # this run reads only x, and its rows repeat x once per y
+        ("exists y:S. ([z := m(x)] q(z)) & r(x, y)", 1),
+    ])
+    def test_open_formulas_look_up_as_with_every_table(self, kind, text, lookups):
+        interp, rows = counting_interp(kind)
+        f = parse_formula(text, SIG, free={"x": "S"})
+        repeated_valuations(compile_formula(f, framework(kind), interp))
+        assert rows.lookups == {(v,): lookups for v in VALUES}
+
+    @pytest.mark.parametrize("kind", EXACT)
+    @pytest.mark.parametrize("values", [(0, 1, 1, 2), (0, 1, True, 1.0, 2)],
+                             ids=["repeated_item", "one_true_and_one_float"])
+    def test_enums_whose_items_are_not_distinct_keys_match_the_reference(self, kind, values):
+        interp = counting_interp(kind)[0]
+        interp = Interpretation(kind=kind, sorts={"S": EnumDomain(values)},
+                                mfuncs=interp.mfuncs, preds=interp.preds)
+        fw = framework(kind)
+        for text in [
+            "forall x:S. exists y:S. [z := m(x)] (r(z, y) | q(x))",
+            "exists x:S. forall y:S. r(x, y) -> ([z := m(y)] q(z))",
+            "forall x:S. exists y:S. forall w:S. r(x, w) | r(w, y)",
+            "exists x:S. forall y:S. [z := m(x)] [u := m(y)] (r(z, u) & !r(x, y))",
+        ]:
+            f = parse_formula(text, SIG)
+            assert evaluate_sentence(f, fw, interp).value == reference_exact(f, fw, interp, {}), text
+
+    @pytest.mark.parametrize("kind", EXACT)
+    def test_only_the_root_table_of_a_nested_sentence_sees_only_new_rows(self, kind, monkeypatch):
+        # shaped like forall x. exists y. [l := cls(x)][k := cls(y)] same(l, k) & !r(x, y)
+        seen = {}
+        new_rows = semantics._Table.new_rows
+
+        def counted(table, cols, n):
+            keys, new, sub = new_rows(table, cols, n)
+            seen.setdefault(id(table), (table.names, []))[1].append((n, len(new)))
+            return keys, new, sub
+
+        monkeypatch.setattr(semantics._Table, "new_rows", counted)
+        interp, _ = counting_interp(kind)
+        f = parse_formula("forall x:S. exists y:S. [l := m(x)] [k := m(y)] (r(l, k) & !r(x, y))", SIG)
+        denotation = compile_formula(f, framework(kind), interp)
+        assert denotation({}) == reference_exact(f, framework(kind), interp, {})
+        only_new = [(names, calls) for names, calls in seen.values() if all(n == k for n, k in calls)]
+        assert only_new == [((), [(1, 1)])]
+
+    def test_free_variables_come_from_one_walk_per_outermost_quantifier(self, monkeypatch):
+        # compilation stays linear in the formula's size: a nested quantifier
+        # finds its free variables in the walk of the outermost one
+        walked = []
+        free_sets = syntax.free_sets
+
+        def counted(f):
+            frees = free_sets(f)
+            walked.append(len(frees))
+            return frees
+
+        monkeypatch.setattr(syntax, "free_sets", counted)
+        interp, _ = counting_interp(DISTRIBUTION)
+        fw = framework(DISTRIBUTION)
+        f = parse_formula("(forall a:S. exists b:S. forall c:S. r(a, b) | r(b, c)) & (exists d:S. q(d))", SIG)
+        compile_formula(f, fw, interp)
+        assert walked == [6, 2]
+        walked.clear()
+        deep = syntax.Atom("q", (syntax.Var("x0", "S"),))
+        for i in reversed(range(300)):
+            deep = syntax.Forall(f"x{i}", "S", deep)
+        compile_formula(deep, fw, interp)
+        assert walked == [301]

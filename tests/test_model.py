@@ -526,6 +526,21 @@ class TestDensities:
         with pytest.raises(SchemaError):
             load_interpretation(text, sig, SAMPLER)
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 0.2e308), (None, 0)])
+    def test_uniform_density_needs_bounds_a_finite_distance_apart(self, lo, hi):
+        # a width of inf would put every sampled point at inf
+        sig = parse_signature('{"sorts": ["S"]}')
+        spec = {"kind": "real_interval", "lo": lo, "hi": hi, "density": {"kind": "uniform"}}
+        with pytest.raises(SchemaError, match="'S'"):
+            load_interpretation({"sorts": {"S": spec}}, sig, SAMPLER)
+
+    def test_uniform_density_on_a_wide_finite_interval(self):
+        sig = parse_signature('{"sorts": ["S"]}')
+        spec = {"kind": "real_interval", "lo": -0.8e308, "hi": 0.8e308, "density": {"kind": "uniform"}}
+        interp = load_interpretation({"sorts": {"S": spec}}, sig, SAMPLER)
+        fam = quantifier_family(interp, "S", budget=1000, key=RandomKey(3))
+        assert all(-0.8e308 <= v <= 0.8e308 for v in fam.values)
+
     def test_unbounded_normal_allowed(self, weather):
         sig, doc = weather
         interp = load_interpretation(doc, sig, SAMPLER)

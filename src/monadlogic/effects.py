@@ -352,10 +352,6 @@ class LP3(enum.IntEnum):
     T = 2
 
     @classmethod
-    def from_bool(cls, b: bool) -> "LP3":
-        return cls.T if b else cls.F
-
-    @classmethod
     def from_members(cls, members: Iterable[bool]) -> "LP3":
         ms = set(members)
         if ms == {True}:

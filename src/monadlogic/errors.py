@@ -5,6 +5,8 @@ suffix) so the command-line front-end can emit single-line diagnostics that
 name the failing check.
 """
 
+import sys
+
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,8 +23,12 @@ class UsageError(EngineError):
 
 class NestingTooDeepError(EngineError):
     """A formula nests deeper than the interpreter's recursion limit lets
-    the parser or evaluator follow.  A run of binds is followed in a loop,
-    so a bind chain of any length evaluates."""
+    the parser, the free-variable walk, the printer or the evaluator
+    follow.  A run of binds is followed in a loop, so a bind chain of any
+    length evaluates."""
+
+    def __init__(self, step: str):
+        super().__init__(f"formula nests too deeply to {step} (recursion limit {sys.getrecursionlimit()})")
 
 
 # syntax

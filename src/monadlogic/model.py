@@ -10,7 +10,11 @@ Interpretations are loaded for a fixed monad kind, whose
 ``bernoulli`` coins.  Continuous domains and the continuous builtin
 families (``normal``, ``uniform_real``) exist only under a monad that
 draws (the ``sampler`` kind); the finite kinds reject them at load time.
-Table coverage is checked lazily, at application time.
+
+Each symbol is resolved once per node, by one resolver (``compile_*``):
+a table symbol becomes one lookup closure, a builtin the row function of
+its registry entry, whose arity is checked then, against the node's
+argument count.  Table coverage is checked lazily, at application time.
 """
 
 from __future__ import annotations
@@ -178,24 +182,26 @@ def value_fact(values) -> Optional[str]:
     return FAITHFUL if len({v for v, _ in typed}) == len(typed) else None
 
 
-# builtins
-
-_NUMERIC = (int, float)
-
+# builtins: one registry entry each, its arity first and last its row
+# function, which checks the row's arguments itself
 
 def _num(name: str, v: Value) -> Union[int, float]:
-    if isinstance(v, bool) or not isinstance(v, _NUMERIC):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise EvalTypeError(f"builtin {name!r} needs numeric arguments, got {v!r}")
     return v
 
 
-def _nums(name: str, args):
-    """The arguments of a numeric builtin, each checked as by :func:`_num`."""
-    for a in args:
-        t = type(a)
-        if t is not int and t is not float:
-            _num(name, a)
-    return args
+def _numeric(name: str, arity: int, fn):
+    """The registry entry of a numeric builtin: ``fn`` of a row's arguments, each checked by :func:`_num`."""
+
+    def row(args):
+        for a in args:
+            t = type(a)
+            if t is not int and t is not float:
+                _num(name, a)
+        return fn(*args)
+
+    return arity, row
 
 
 def _builtin_div(x, y):
@@ -204,7 +210,7 @@ def _builtin_div(x, y):
     return x / y
 
 
-_BUILTIN_FUNCS = {
+_BUILTIN_FUNCS = {name: _numeric(name, *entry) for name, entry in {
     "add": (2, lambda x, y: x + y),
     "sub": (2, lambda x, y: x - y),
     "mul": (2, lambda x, y: x * y),
@@ -213,101 +219,28 @@ _BUILTIN_FUNCS = {
     "abs": (1, abs),
     "min": (2, min),
     "max": (2, max),
-}
+}.items()}
 
 _BUILTIN_PREDS = {
-    "eq": (2, lambda x, y: x == y),
-    "lt": (2, lambda x, y: x < y),
-    "le": (2, lambda x, y: x <= y),
-    "gt": (2, lambda x, y: x > y),
-    "ge": (2, lambda x, y: x >= y),
+    "eq": (2, lambda args: args[0] == args[1]),  # of any values
+    **{name: _numeric(name, *entry) for name, entry in {
+        "lt": (2, lambda x, y: x < y),
+        "le": (2, lambda x, y: x <= y),
+        "gt": (2, lambda x, y: x > y),
+        "ge": (2, lambda x, y: x >= y),
+    }.items()},
 }
 
-# arity and the value fact of the outcomes: bernoulli gives the ints 0
-# and 1, the others continuous draws
-_BUILTIN_STOCH = {"bernoulli": (1, FAITHFUL), "normal": (2, CONTINUOUS), "uniform_real": (2, CONTINUOUS)}
+
+def _bernoulli(args, monad: Monad) -> effects.Computation:
+    p = _num("bernoulli", args[0])
+    if not 0.0 <= p <= 1.0:
+        raise ParamOutOfRangeError(f"bernoulli parameter {p!r} outside [0, 1]")
+    return monad.coin(p)
 
 
-def compile_function(interp: Interpretation, name: str):
-    """Resolve a function symbol once; returns a callable on argument lists."""
-    impl = interp.funcs.get(name)
-    if impl is None:
-        raise MissingSymbolError(f"no interpretation for function {name!r}")
-    if isinstance(impl, TableFunc):
-        rows = impl.rows
-
-        def table_fn(args):
-            try:
-                return rows[tuple(args)]
-            except KeyError:
-                raise MissingTableRowError(
-                    f"function {name!r} has no row for {tuple(args)!r}"
-                ) from None
-
-        return table_fn
-    arity, fn = _BUILTIN_FUNCS[impl.name]
-    bname = impl.name
-
-    def builtin_fn(args):
-        if len(args) != arity:
-            raise EvalTypeError(f"builtin {bname!r} expects {arity} arguments")
-        return fn(*_nums(bname, args))
-
-    return builtin_fn
-
-
-def compile_predicate(interp: Interpretation, name: str):
-    """Resolve a predicate symbol once; returns a callable yielding bool."""
-    impl = interp.preds.get(name)
-    if impl is None:
-        raise MissingSymbolError(f"no interpretation for predicate {name!r}")
-    if isinstance(impl, TableFunc):
-        rows = impl.rows
-
-        def table_fn(args):
-            try:
-                return bool(rows[tuple(args)])
-            except KeyError:
-                raise MissingTableRowError(
-                    f"predicate {name!r} has no row for {tuple(args)!r}"
-                ) from None
-
-        return table_fn
-    arity, fn = _BUILTIN_PREDS[impl.name]
-    bname = impl.name
-    if bname == "eq":
-
-        def eq_fn(args):
-            if len(args) != arity:
-                raise EvalTypeError(f"builtin {bname!r} expects {arity} arguments")
-            return bool(fn(*args))
-
-        return eq_fn
-
-    def builtin_fn(args):
-        if len(args) != arity:
-            raise EvalTypeError(f"builtin {bname!r} expects {arity} arguments")
-        return bool(fn(*_nums(bname, args)))
-
-    return builtin_fn
-
-
-def apply_function(interp: Interpretation, name: str, args) -> Value:
-    """Evaluate an ordinary function symbol on argument values."""
-    return compile_function(interp, name)(args)
-
-
-def apply_predicate(interp: Interpretation, name: str, args) -> bool:
-    """Evaluate an ordinary predicate symbol to a truth-basis value."""
-    return compile_predicate(interp, name)(args)
-
-
-def _builtin_stochastic(name: str, args, monad: Monad) -> effects.Computation:
-    if name == "bernoulli":
-        p = _num(name, args[0])
-        if not 0.0 <= p <= 1.0:
-            raise ParamOutOfRangeError(f"bernoulli parameter {p!r} outside [0, 1]")
-        return monad.coin(p)
+def _finite(name: str, args, monad: Monad):
+    """The parameters of a continuous builtin: finite numbers, under a monad that draws."""
     if not monad.draws:
         raise FiniteOnlyError(f"builtin {name!r} needs the sampler kind")
     params = [_num(name, a) for a in args]
@@ -317,45 +250,98 @@ def _builtin_stochastic(name: str, args, monad: Monad) -> effects.Computation:
         finite = False
     if not finite:
         raise ParamOutOfRangeError(f"{name} needs finite parameters, got {tuple(params)!r}")
-    if name == "normal":
-        mu, sigma = params
-        if sigma <= 0:
-            raise ParamOutOfRangeError(f"normal needs sigma > 0, got {sigma!r}")
-        return effects.Sampler(draw=lambda states: effects.normals(states, mu, sigma))
-    if name == "uniform_real":
-        lo, hi = params
-        if not (lo < hi and math.isfinite(float(hi) - float(lo))):
-            raise ParamOutOfRangeError(
-                f"uniform_real needs lo < hi a finite distance apart, got [{lo!r}, {hi!r}]"
-            )
-        return effects.Sampler(
-            draw=lambda states: [lo + u * (hi - lo) for u in effects.uniforms(states)]
-        )
-    raise MissingSymbolError(f"unknown stochastic builtin {name!r}")
+    return params
 
 
-def compile_computational(interp: Interpretation, name: str):
-    """Resolve a computational symbol once; returns a callable producing a
-    computation of the interpretation's monad kind per argument list."""
-    impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
+def _normal(args, monad: Monad) -> effects.Computation:
+    mu, sigma = _finite("normal", args, monad)
+    if sigma <= 0:
+        raise ParamOutOfRangeError(f"normal needs sigma > 0, got {sigma!r}")
+    return effects.Sampler(draw=lambda states: effects.normals(states, mu, sigma))
+
+
+def _uniform_real(args, monad: Monad) -> effects.Computation:
+    lo, hi = _finite("uniform_real", args, monad)
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ParamOutOfRangeError(f"uniform_real needs lo < hi a finite distance apart, got [{lo!r}, {hi!r}]")
+    return effects.Sampler(draw=lambda states: [lo + u * (hi - lo) for u in effects.uniforms(states)])
+
+
+# the value fact of the outcomes: bernoulli gives the ints 0 and 1, the
+# others continuous draws; the row function also takes the monad
+_BUILTIN_STOCH = {
+    "bernoulli": (1, FAITHFUL, _bernoulli),
+    "normal": (2, CONTINUOUS, _normal),
+    "uniform_real": (2, CONTINUOUS, _uniform_real),
+}
+
+
+def _resolve(what: str, name: str, impl, n_args: int, builtins, convert=lambda entry: entry):
+    """The row function of symbol ``name`` with implementation ``impl``,
+    resolved once for a node that applies it to ``n_args`` arguments.  A
+    builtin gives the row function of its registry entry, its arity
+    checked here rather than on every row; a table gives a lookup of each
+    row's arguments, its entry passed through ``convert``."""
     if impl is None:
-        raise MissingSymbolError(f"no interpretation for computational symbol {name!r}")
-    monad = effects.monad(interp.kind)
-    if isinstance(impl, BuiltinStoch):
-        bname = impl.name
-        return lambda args: _builtin_stochastic(bname, args, monad)
-    rows, row = impl.rows, monad.row
+        raise MissingSymbolError(f"no interpretation for {what} {name!r}")
+    if isinstance(impl, (BuiltinFunc, BuiltinStoch)):
+        entry = builtins.get(impl.name)
+        if entry is None:
+            raise MissingSymbolError(f"{name!r}: unknown builtin {impl.name!r}")
+        arity, *_, row = entry
+        if n_args != arity:
+            raise EvalTypeError(f"builtin {impl.name!r} expects {arity} arguments")
+        return row
+    rows = impl.rows
 
     def table_fn(args):
         try:
-            payload = rows[tuple(args)]
+            entry = rows[tuple(args)]
         except KeyError:
-            raise MissingTableRowError(
-                f"computational {name!r} has no row for {tuple(args)!r}"
-            ) from None
-        return row(payload)
+            raise MissingTableRowError(f"{what} {name!r} has no row for {tuple(args)!r}") from None
+        return convert(entry)
 
     return table_fn
+
+
+def compile_function(interp: Interpretation, name: str, n_args: int):
+    """Resolve a function symbol once, for ``n_args`` arguments; returns a
+    callable on argument tuples."""
+    return _resolve("function", name, interp.funcs.get(name), n_args, _BUILTIN_FUNCS)
+
+
+def compile_predicate(interp: Interpretation, name: str, n_args: int):
+    """Resolve a predicate symbol once, for ``n_args`` arguments; returns a
+    callable yielding bool."""
+    return _resolve("predicate", name, interp.preds.get(name), n_args, _BUILTIN_PREDS, bool)
+
+
+def apply_function(interp: Interpretation, name: str, args) -> Value:
+    """Evaluate an ordinary function symbol on argument values."""
+    return compile_function(interp, name, len(args))(args)
+
+
+def apply_predicate(interp: Interpretation, name: str, args) -> bool:
+    """Evaluate an ordinary predicate symbol to a truth-basis value."""
+    return compile_predicate(interp, name, len(args))(args)
+
+
+def _builtin_stochastic(name: str, args, monad: Monad) -> effects.Computation:
+    """The computation of the stochastic builtin ``name`` on one row's arguments."""
+    return _BUILTIN_STOCH[name][-1](args, monad)
+
+
+def compile_computational(interp: Interpretation, name: str, n_args: int):
+    """Resolve a computational symbol once, for ``n_args`` arguments;
+    returns a callable producing a computation of the interpretation's
+    monad kind per argument tuple."""
+    impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
+    monad = effects.monad(interp.kind)
+    run = _resolve("computational symbol", name, impl, n_args, _BUILTIN_STOCH, monad.row)
+    if isinstance(impl, BuiltinStoch):  # each row through the per-call entry
+        bname = impl.name
+        return lambda args: _builtin_stochastic(bname, args, monad)
+    return run
 
 
 def computational_fact(interp: Interpretation, name: str) -> Optional[str]:
@@ -370,7 +356,7 @@ def apply_computational(interp: Interpretation, name: str, args) -> effects.Comp
     """Evaluate a computational symbol to a computation of the
     interpretation's monad kind.  Samplers are lazy; their randomness is
     supplied a batch of key states at a time."""
-    return compile_computational(interp, name)(args)
+    return compile_computational(interp, name, len(args))(args)
 
 
 def quantifier_family(
@@ -632,7 +618,7 @@ def load_interpretation(doc, sig: Signature, monad_kind: str) -> Interpretation:
             bname = spec.get("name")
             if not isinstance(bname, str) or bname not in _BUILTIN_STOCH:
                 raise SchemaError(f"{name!r}: unknown stochastic builtin {bname!r}")
-            arity, fact = _BUILTIN_STOCH[bname]
+            arity, fact, _ = _BUILTIN_STOCH[bname]
             if arity != len(args):
                 raise SchemaError(f"{name!r}: builtin {bname!r} arity mismatch")
             if fact is CONTINUOUS and not monad.draws:

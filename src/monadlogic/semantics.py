@@ -16,7 +16,10 @@ The recursion runs once and yields the denotation as a function from
 valuations to truth values (``compile_formula``); evaluation applies it.
 Nothing is compiled away or restructured: the staged function mirrors the
 inductive definition clause by clause, one clause per formula constructor
-for every monad.  Each clause is staged as a *batch denotation*
+for every monad.  Each name is staged from one place: a clause reads its
+node's free variables from one walk of the formula (``syntax.free_sets``)
+and resolves its symbol once, for the node's argument count, through
+``model.compile_*``.  Each clause is staged as a *batch denotation*
 ``fn(cols, n, states)`` that maps ``n`` rows, held as value columns, to
 their truth values; ``states`` is an :class:`~monadlogic.effects.Lanes`
 batch of one 64-bit key state per row when the rows are draws of the
@@ -91,7 +94,6 @@ agree with the product algebra).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, filterfalse
@@ -160,45 +162,43 @@ def compile_formula(
 
     ``budget`` and ``key`` fix the sampled points of continuous-sort
     quantifiers; finite sorts ignore them.  Each clause returns its batch
-    denotation ``fn(cols, n, states)``, its free variables and whether it
-    draws.  Applying the result turns the valuation into one-row columns
-    and hands the root to the monad: the exact kinds evaluate it once,
-    the sampler first evaluates it on no draws, so that errors needing no
-    draw come first, and returns the sampler of its draws.  The result's
+    denotation ``fn(cols, n, states)`` and whether it draws.  Applying the
+    result turns the valuation into one-row columns and hands the root to
+    the monad: the exact kinds evaluate it once, the sampler first
+    evaluates it on no draws, so that errors needing no draw come first,
+    and returns the sampler of its draws.  The result's
     ``free`` names the formula's free variables, sorted.
     """
     monad, alg = effects.monad(fw.monad_kind), fw.algebra
-    # free variables by node id, from one walk of each outermost
-    # quantifier that needs its own before its body compiles
-    frees: Dict[int, FrozenSet[str]] = {}
+    # every node's free variables (names -> sorts), from one walk
+    frees = syntax.free_sets(f)
     # each bound variable's value fact, set by its innermost binder while
     # the binder's body compiles; free variables of the formula have none
     facts: Dict[str, Optional[str]] = {}
 
     def comp(f: syntax.Formula, key: Optional[RandomKey], distinct_on: Optional[FrozenSet[str]]):
-        """The batch denotation of ``f``, its free variables and whether it
-        draws.  ``distinct_on`` is the node's row-distinctness fact: the
-        variables on which the rows of one call are pairwise distinct, or
-        None."""
+        """The batch denotation of ``f`` and whether it draws.
+        ``distinct_on`` is the node's row-distinctness fact: the variables
+        on which the rows of one call are pairwise distinct, or None."""
         if isinstance(f, (syntax.Top, syntax.Bot, syntax.Prop)):
             if isinstance(f, syntax.Prop):
                 value = alg.top if model.apply_predicate(interp, f.name, ()) else alg.bot
             else:
                 value = alg.top if isinstance(f, syntax.Top) else alg.bot
-            return (lambda cols, n, states: [value] * n), _CLOSED, False
+            return (lambda cols, n, states: [value] * n), False
         if isinstance(f, syntax.Atom):
-            arg_fns, free = _stage_terms(interp, f.args)
-            run = model.compile_predicate(interp, f.pred)
+            arg_fns = _stage_terms(interp, f.args)
+            run = model.compile_predicate(interp, f.pred, len(f.args))
             top, bot = alg.top, alg.bot
 
             def atom_fn(cols, n, states):
                 return [top if b else bot for b in _apply_rows(run, arg_fns, cols, n)]
 
-            return atom_fn, free, False
+            return atom_fn, False
         if isinstance(f, syntax.Not):
-            body, free, draws = comp(f.body, key, distinct_on)
+            body, draws = comp(f.body, key, distinct_on)
             neg = alg.neg
-            return (lambda cols, n, states: list(map(neg, body(cols, n, states)))), free, draws
+            return (lambda cols, n, states: list(map(neg, body(cols, n, states)))), draws
         if isinstance(f, (syntax.And, syntax.Or, syntax.Implies)):
             return comp_connective(f, key, distinct_on)
         if isinstance(f, (syntax.Forall, syntax.Exists)):
@@ -208,15 +208,15 @@ def compile_formula(
         raise TypeError(f"not a formula: {f!r}")
 
     def comp_connective(f, key, distinct_on):
-        left, left_free, left_draws = comp(f.left, _key_child(key, 0), distinct_on)
-        right, right_free, right_draws = comp(f.right, _key_child(key, 1), distinct_on)
+        left, left_draws = comp(f.left, _key_child(key, 0), distinct_on)
+        right, right_draws = comp(f.right, _key_child(key, 1), distinct_on)
         op = {syntax.And: alg.conj, syntax.Or: alg.disj, syntax.Implies: alg.implies}[type(f)]
         draws = left_draws or right_draws
         if draws:
             if not left_draws:
-                left = _grouped(f.left, left, left_free, facts)
+                left = _grouped(f.left, left, frees[id(f.left)], facts)
             if not right_draws:
-                right = _grouped(f.right, right, right_free, facts)
+                right = _grouped(f.right, right, frees[id(f.right)], facts)
 
         def connective_fn(cols, n, states):
             left_states = right_states = None
@@ -225,7 +225,7 @@ def compile_formula(
                 right_states = child_states(states, 1) if right_draws else None
             return list(map(op, left(cols, n, left_states), right(cols, n, right_states)))
 
-        return connective_fn, left_free | right_free, draws
+        return connective_fn, draws
 
     def comp_quantifier(f, key, distinct_on):
         family = model.quantifier_family(interp, f.sort, budget, _key_child(key, 0))
@@ -240,28 +240,25 @@ def compile_formula(
         weights = [w for w, _ in items]
         points = [a for _, a in items]
         size = len(points)
-        var = f.var
+        var, free = f.var, frees[id(f)]
         # the body's rows are pairwise distinct on the quantifier's free
         # variables and var when no two items are the same key of a table
         # (a library enum may repeat one)
         body_on = None
         if not monad.draws and len(set(zip(points, map(type, points)))) == size:
-            if id(f) not in frees:
-                frees.update(syntax.free_sets(f))
-            body_on = frees[id(f)] | {var}
+            body_on = frozenset((*free, var))
         # the body meets each row once per item, so a draw in scope is no
         # longer new on every row; draws are floats, hence type-faithful
         drawn = [name for name, fact in facts.items() if fact is model.CONTINUOUS]
         facts.update(dict.fromkeys(drawn, model.FAITHFUL))
         shadowed, facts[var] = facts.get(var), model.value_fact(points)
-        body, body_free, draws = comp(f.body, _key_child(key, 1), body_on)
+        body, draws = comp(f.body, _key_child(key, 1), body_on)
         facts.update(dict.fromkeys(drawn, model.CONTINUOUS))
         facts[var] = shadowed
         block = max(1, _BLOCK_ROWS // size)
         reduce = alg.forall if isinstance(f, syntax.Forall) else alg.exists
         if draws and any(w != 1.0 for w in weights):
             reduce = _unit_weights_only
-        free = body_free - {var}
         names = tuple(free)
         table = None if draws or _drawn(free, facts) or _covers(free, distinct_on) else _Table(free, facts)
 
@@ -279,7 +276,7 @@ def compile_formula(
                 out += reduce(weights, zip(*[iter(values)] * size))
             return out if table is None else table.spread(keys, new, out)
 
-        return quant_fn, free, draws
+        return quant_fn, draws
 
     def comp_run(f, key, distinct_on):
         """A maximal run of binds ``[v1 := c1(a1)] ... [vk := ck(ak)] B``,
@@ -289,17 +286,17 @@ def compile_formula(
         draws, bound = monad.draws, []
         while isinstance(f, (syntax.Bind, syntax.MAtom, syntax.MProp)):
             if isinstance(f, syntax.Bind):
-                symbol, args, var = f.mfunc, f.args, f.var
+                symbol, args, var, args_free = f.mfunc, f.args, f.var, frees[id(f.args)]
             else:
-                var = _OUTCOME
+                var, args_free = _OUTCOME, frees[id(f)]
                 symbol, args = (f.name, ()) if isinstance(f, syntax.MProp) else (f.mpred, f.args)
-            arg_fns, args_free = _stage_terms(interp, args)
-            lookup = partial(_apply_rows, model.compile_computational(interp, symbol), arg_fns)
+            arg_fns = _stage_terms(interp, args)
+            lookup = partial(_apply_rows, model.compile_computational(interp, symbol, len(args)), arg_fns)
             monad.accept(interp.kind, symbol)
             if draws and not _drawn(args_free, facts):
                 # draws repeat their arguments: a computation per new restriction to them
                 lookup = partial(_Table(args_free, facts).apply, lookup)
-            bound.append((var, lookup, args_free, facts.get(var)))
+            bound.append((var, lookup, args_free, frees[id(f)], facts.get(var)))
             if var is _OUTCOME:
                 break
             facts[var] = model.computational_fact(interp, symbol)
@@ -307,23 +304,24 @@ def compile_formula(
         if var is _OUTCOME:
             embed = alg.embed if monad.reads_rows else _no_classical_reading
             body = lambda cols, n, states: list(map(embed, cols[_OUTCOME]))
-            free, body_draws = _CLOSED, False
+            free, body_draws = {}, False
         else:
-            body, free, body_draws = comp(f, key, None)
+            body, body_draws = comp(f, key, None)
+            free = frees[id(f)]
             if draws and not body_draws:
                 body = _grouped(f, body, free, facts)
         # backward, each level's frontier: the variables the rest of the run
         # reads.  The exact kinds number a level's rows on it, unless it keeps
         # the level's variable and all its rows' ones, so no row can repeat.
         levels = []
-        for var, lookup, args_free, shadowed in reversed(bound):
-            rest = free - {var}
-            repeats = levels and not draws and not (var in free and args_free <= rest)
+        for var, lookup, args_free, level_free, shadowed in reversed(bound):
+            rest = free.keys() - {var}
+            repeats = levels and not draws and not (var in free and args_free.keys() <= rest)
             frontier = _Table(free, facts) if repeats else None
             levels.append((var, lookup, tuple(rest), body_draws, frontier))
             if var is not _OUTCOME:
                 facts[var] = shadowed
-            free, body_draws = args_free | rest, True
+            free, body_draws = level_free, True
         levels.reverse()
         expand, fold, pin = monad.expand, monad.fold, alg.pin
 
@@ -340,7 +338,7 @@ def compile_formula(
             return body(cols, n, states)
 
         if draws:
-            return draw_fn, free, True
+            return draw_fn, True
         table = None if _covers(free, distinct_on) else _Table(free, facts)
 
         def sweep_fn(cols, n, states):
@@ -363,10 +361,10 @@ def compile_formula(
                     out = fold(rows, out if nums is None else list(map(out.__getitem__, nums)), pin)
             return out if table is None else table.spread(keys, new, out)
 
-        return sweep_fn, free, False
+        return sweep_fn, False
 
-    fn, free, draws = comp(f, key, None)
-    names = tuple(sorted(free))
+    fn, draws = comp(f, key, None)
+    names = tuple(sorted(frees[id(f)]))
 
     def denotation(nu):
         cols = {}
@@ -382,7 +380,6 @@ def compile_formula(
     return denotation
 
 
-_CLOSED: FrozenSet[str] = frozenset()
 # the column of a computational atom's outcomes, named by no variable
 _OUTCOME = object()
 # entries a table keeps from one call to the next
@@ -407,13 +404,13 @@ def _no_classical_reading(v):
     )
 
 
-def _covers(free: FrozenSet[str], distinct_on: Optional[FrozenSet[str]]) -> bool:
+def _covers(free, distinct_on: Optional[FrozenSet[str]]) -> bool:
     """Whether rows pairwise distinct on ``distinct_on`` stay distinct when
-    restricted to ``free``, so that a table of them would never hit."""
-    return distinct_on is not None and distinct_on <= free
+    restricted to the variables ``free``, so that a table would never hit."""
+    return distinct_on is not None and distinct_on <= free.keys()
 
 
-def _drawn(free: FrozenSet[str], facts) -> bool:
+def _drawn(free, facts) -> bool:
     """Whether one of the variables ``free`` holds continuous draws, which
     make every row new, so that a table of them would never hit."""
     return model.CONTINUOUS in map(facts.get, free)
@@ -438,7 +435,7 @@ class _Table:
 
     __slots__ = ("names", "kept", "plain")
 
-    def __init__(self, free: FrozenSet[str], facts):
+    def __init__(self, free, facts):
         self.names = tuple(sorted(free))
         self.kept: dict = {}
         self.plain = None not in map(facts.get, self.names)
@@ -487,7 +484,7 @@ class _Table:
         return list(map(index.__getitem__, keys)), self.columns(list(index)), len(index)
 
 
-def _grouped(f: syntax.Formula, fn, free: FrozenSet[str], facts):
+def _grouped(f: syntax.Formula, fn, free, facts):
     """The draw-free batch denotation ``fn`` of ``f``, run once per
     distinct restriction of its rows to ``free``.  A quantifier keeps a
     table of its own, and continuous draws make every row new, so then
@@ -520,22 +517,20 @@ def _apply_rows(run, arg_fns, cols, n):
 
 
 def _stage_term(interp: model.Interpretation, t: syntax.Term):
-    """Stage a term as a batch function ``fn(cols, n)`` giving each of
-    ``n`` rows its value, together with the term's free variables."""
+    """Stage a term as a batch function ``fn(cols, n)`` giving each of ``n`` rows its value."""
     if isinstance(t, syntax.Var):
         name = t.name
-        return (lambda cols, n: cols[name]), frozenset((name,))
+        return lambda cols, n: cols[name]
     if isinstance(t, syntax.Lit):
         value = t.value
-        return (lambda cols, n: [value] * n), _CLOSED
-    arg_fns, free = _stage_terms(interp, t.args)
-    run = model.compile_function(interp, t.func)
-    return (lambda cols, n: _apply_rows(run, arg_fns, cols, n)), free
+        return lambda cols, n: [value] * n
+    arg_fns = _stage_terms(interp, t.args)
+    run = model.compile_function(interp, t.func, len(t.args))
+    return lambda cols, n: _apply_rows(run, arg_fns, cols, n)
 
 
 def _stage_terms(interp: model.Interpretation, terms):
-    staged = [_stage_term(interp, t) for t in terms]
-    return tuple(fn for fn, _ in staged), _CLOSED.union(*(free for _, free in staged))
+    return tuple(_stage_term(interp, t) for t in terms)
 
 
 def eval_formula(
@@ -593,7 +588,4 @@ def evaluate_sentence(
             stderr=realized.stderr,
         )
     except RecursionError:
-        raise NestingTooDeepError(
-            "formula nests too deeply to evaluate "
-            f"(recursion limit {sys.getrecursionlimit()})"
-        ) from None
+        raise NestingTooDeepError("evaluate") from None

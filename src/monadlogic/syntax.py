@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     ArityMismatchError,
@@ -523,9 +522,7 @@ def parse_formula(
     try:
         out = parser.formula()
     except RecursionError:
-        raise NestingTooDeepError(
-            f"formula nests too deeply to parse (recursion limit {sys.getrecursionlimit()})"
-        ) from None
+        raise NestingTooDeepError("parse") from None
     kind, value, offset = parser._peek()
     if kind != "eof":
         raise FormulaSyntaxError(f"unexpected trailing input at offset {offset}: {value!r}")
@@ -535,57 +532,27 @@ def parse_formula(
 # free variables
 
 
-def free_vars(f: Formula) -> Tuple[Tuple[str, str], ...]:
-    """Free variables with sorts, in first-occurrence order.
-
-    A run of binders, each the body of the one before, is walked in a
-    loop, so a chain of any length takes no recursion frame per bind."""
-    seen = {}
-    bound = {}  # binders in scope per variable name
-
-    def walk_term(t):
+def _term_vars(terms) -> Dict[str, str]:
+    """The variables of ``terms`` with their sorts, in first-occurrence order."""
+    out = {}
+    for t in terms:
         if isinstance(t, Var):
-            if not bound.get(t.name) and t.name not in seen:
-                seen[t.name] = t.sort
+            out[t.name] = t.sort
         elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f):
-        binders = []
-        while isinstance(f, (Forall, Exists, Bind)):
-            if isinstance(f, Bind):
-                for t in f.args:
-                    walk_term(t)
-            bound[f.var] = bound.get(f.var, 0) + 1
-            binders.append(f.var)
-            f = f.body
-        if isinstance(f, (Atom, MAtom)):
-            for t in f.args:
-                walk_term(t)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            walk(f.left)
-            walk(f.right)
-        for name in binders:
-            bound[name] -= 1
-
-    walk(f)
-    return tuple(seen.items())
+            out.update(_term_vars(t.args))
+    return out
 
 
-def _term_vars(terms) -> FrozenSet[str]:
-    """The names of the variables of ``terms``."""
-    return frozenset().union(*(
-        (t.name,) if isinstance(t, Var) else _term_vars(t.args) if isinstance(t, App) else ()
-        for t in terms
-    ))
+def free_sets(f: Formula) -> Dict[int, Dict[str, str]]:
+    """Every node's free variables with their sorts, in first-occurrence
+    order, keyed by the node's ``id``; a bind's argument tuple has an entry
+    too, keyed by the tuple's ``id``.
 
-
-def free_sets(f: Formula) -> Dict[int, FrozenSet[str]]:
-    """The names of every node's free variables, keyed by the node's
-    ``id``: one pass over ``f`` that walks a run of binds in a loop."""
+    This one walk is the only place free variables are computed:
+    :func:`free_vars` reads the root's entry and ``compile_formula`` every
+    node's.  A run of binds is walked in a loop, so a chain of any length
+    takes no recursion frame per bind; other nesting beyond the recursion
+    limit raises :class:`NestingTooDeepError`."""
     frees = {}
 
     def walk(f):
@@ -598,19 +565,27 @@ def free_sets(f: Formula) -> Dict[int, FrozenSet[str]]:
         elif isinstance(f, Not):
             free = walk(f.body)
         elif isinstance(f, (And, Or, Implies)):
-            free = walk(f.left) | walk(f.right)
+            free = {**walk(f.left), **walk(f.right)}
         elif isinstance(f, (Forall, Exists)):
-            free = walk(f.body) - {f.var}
+            free = {n: s for n, s in walk(f.body).items() if n != f.var}
         else:
-            free = frozenset()
+            free = {}
         frees[id(f)] = free
         for bind in reversed(run):
-            free = _term_vars(bind.args) | (free - {bind.var})
-            frees[id(bind)] = free
+            args = frees[id(bind.args)] = _term_vars(bind.args)
+            free = frees[id(bind)] = {**args, **{n: s for n, s in free.items() if n != bind.var}}
         return free
 
-    walk(f)
+    try:
+        walk(f)
+    except RecursionError:
+        raise NestingTooDeepError("walk") from None
     return frees
+
+
+def free_vars(f: Formula) -> Tuple[Tuple[str, str], ...]:
+    """Free variables with sorts in first-occurrence order: the root's entry of :func:`free_sets`."""
+    return tuple(free_sets(f)[id(f)].items())
 
 
 # pretty printing
@@ -641,10 +616,18 @@ def pretty_term(t: Term) -> str:
 
 
 def pretty(f: Formula) -> str:
-    """Render a formula; the result reparses to a structurally equal AST."""
+    """Render a formula; the result reparses to a structurally equal AST.
+    A run of binds is rendered in a loop; other nesting beyond the
+    recursion limit raises :class:`NestingTooDeepError`."""
+    try:
+        return _pretty(f)
+    except RecursionError:
+        raise NestingTooDeepError("print") from None
 
+
+def _pretty(f: Formula) -> str:
     def wrap(child, minimum):
-        text = pretty(child)
+        text = _pretty(child)
         return f"({text})" if _level(child) < minimum else text
 
     if isinstance(f, Top):
@@ -667,11 +650,11 @@ def pretty(f: Formula) -> str:
         return f"{wrap(f.left, 2)} -> {wrap(f.right, 1)}"
     if isinstance(f, (Forall, Exists)):
         word = "forall" if isinstance(f, Forall) else "exists"
-        return f"{word} {f.var}:{f.sort}. {pretty(f.body)}"
+        return f"{word} {f.var}:{f.sort}. {_pretty(f.body)}"
     if isinstance(f, Bind):
         run = []  # a loop, so a run of any length takes no frame per bind
         while isinstance(f, Bind):
             run.append(f"[{f.var} := {f.mfunc}({', '.join(map(pretty_term, f.args))})] ")
             f = f.body
-        return "".join(run) + pretty(f)
+        return "".join(run) + _pretty(f)
     raise TypeError(f"not a formula: {f!r}")

@@ -39,7 +39,6 @@ from .errors import (
 
 @dataclass(frozen=True)
 class TransformSpec:
-    name: str = "argmax"
     tolerance: float = 1e-12  # maximizer ties; recognizes rounded uniform rows
 
 

@@ -453,6 +453,17 @@ class TestNestingTooDeep:
             *run(capsys, *eval_args(demo_dir, "mnist", "dist", "product", formula))
         )
 
+    def test_a_1000_conjunct_wmc_query(self, capsys, demo_dir):
+        # the query's free variables come from a walk that recurses per conjunct
+        code, out, err = run(
+            capsys, "wmc",
+            "--sig", str(demo_dir / "wmc.sig.json"),
+            "--interp", str(demo_dir / "wmc.interp.json"),
+            "--formula", " & ".join(["eq(x1, 1)"] * 1000),
+        )
+        self.assert_nesting_error(code, out, err)
+        assert "Traceback" not in err
+
     def test_450_variable_wmc_chain_still_evaluates(self, capsys, tmp_path):
         # the line printed when each bind of the chain nested Python frames
         code, out, err = run(capsys, *chain_wmc_args(tmp_path, 450))

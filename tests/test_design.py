@@ -14,6 +14,10 @@ evaluator's ``expand`` and ``fold``/``join``: the scalar ``bind`` and
 ``truth`` come from ``effects.Monad``, and only the sampler, whose
 outcomes are drawn at key states, has its own.
 
+Each builtin is one registry entry holding its row function, so
+``model.py`` resolves a symbol (``compile_*`` and everything they reach)
+without comparing a builtin's name against a string.
+
 A bind is one clause: a run of binds, each the body of the one before,
 compiles and evaluates in one loop, and a computational atom is a run of
 one, so ``compile_formula`` has no second bind path.
@@ -24,6 +28,8 @@ import inspect
 import textwrap
 
 from monadlogic import algebra, effects, model, semantics
+
+RESOLVERS = ("compile_function", "compile_predicate", "compile_computational")
 
 KINDS = {"IDENTITY", "NONEMPTY_SET", "DISTRIBUTION", "SAMPLER", "monad_kind"}
 
@@ -119,3 +125,46 @@ def test_only_the_sampler_has_its_own_scalar_bind():
     own = {type(m).__name__: sorted({"bind", "truth"} & set(vars(type(m))))
            for m in effects.MONADS.values()}
     assert own == {"_Identity": [], "_Set": [], "_Dist": [], "_Sampler": ["bind", "truth"]}
+
+
+def reached(source, roots):
+    """The top-level functions and assignments of ``source`` that ``roots``
+    reach by name (classes are the data they resolve, not code they run)."""
+    defs = {}
+    for node in ast.parse(textwrap.dedent(source)).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    seen, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in seen:
+            seen[name] = defs[name]
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return list(seen.values())
+
+
+def string_tests(nodes):
+    """The comparisons in ``nodes`` with a string constant in an operand."""
+    return [ast.unparse(node) for root in nodes for node in ast.walk(root)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    for operand in (node.left, *node.comparators) for n in ast.walk(operand))]
+
+
+def test_symbol_resolution_compares_no_builtin_name():
+    assert string_tests(reached(inspect.getsource(model), RESOLVERS)) == []
+
+
+def test_the_guard_sees_a_builtin_name_test():
+    source = (
+        "def compile_predicate(interp, name):\n"
+        "    return _row(interp.preds[name].name)\n"
+        "def _row(bname):\n"
+        "    return eq_fn if bname == 'eq' else _BUILTINS[bname]\n"
+        "_BUILTINS = {'lt': lambda x, y: x < y, 'in': lambda x: x in ('a', 'b')}\n"
+        "def unreached(name):\n"
+        "    return name == 'normal'\n"
+    )
+    assert string_tests(reached(source, RESOLVERS)) == ["bname == 'eq'", "x in ('a', 'b')"]

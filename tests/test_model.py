@@ -20,6 +20,8 @@ from monadlogic import (
     apply_predicate,
     dump_interpretation,
     load_interpretation,
+    make_algebra,
+    make_framework,
     parse_signature,
     quantifier_family,
 )
@@ -35,6 +37,9 @@ from monadlogic.errors import (
     ParamOutOfRangeError,
     SchemaError,
 )
+from monadlogic.model import BuiltinFunc, EnumDomain, Interpretation
+from monadlogic.semantics import compile_formula
+from monadlogic.syntax import App, Atom, Lit
 
 
 def _normal_cdf(x: float) -> float:
@@ -346,6 +351,16 @@ class TestBuiltins:
     def test_eq_on_symbols(self, interp):
         assert apply_predicate(interp, "eq", ["a", "a"]) is True
         assert apply_predicate(interp, "lt", [1, 2]) is True
+
+    def test_a_builtin_arity_is_checked_when_the_node_compiles(self):
+        # sort checking fixes every parsed node's arity; a library-built
+        # one is checked once, as its symbol resolves, not on every row
+        interp = Interpretation(kind=DISTRIBUTION, sorts={"S": EnumDomain((0, 1))},
+                                funcs={"add": BuiltinFunc("add")}, preds={"eq": BuiltinFunc("eq")})
+        f = Atom("eq", (App("add", (Lit(1),), "S"), Lit(1)))
+        fw = make_framework(DISTRIBUTION, make_algebra("product"))
+        with pytest.raises(EvalTypeError, match="builtin 'add' expects 2 arguments"):
+            compile_formula(f, fw, interp)
 
 
 class TestComputational:

@@ -266,6 +266,15 @@ class TestFreeVars:
             f = Bind(f"x{i}", "m", (Var(f"x{i - 1}" if i else "y", "S"),), f)
         assert free_vars(f) == (("y", "S"), ("z", "S"))
 
+    def test_deep_nesting_is_a_coded_error(self):
+        # a conjunction built in the library nests past the recursion limit
+        f = Top()
+        for _ in range(5000):
+            f = And(f, Top())
+        for walk in (free_vars, pretty):
+            with pytest.raises(NestingTooDeepError):
+                walk(f)
+
     def test_a_rebinding_run_scopes_each_argument_outside_its_bind(self):
         # [x := m(x)] [y := m(x)] exists x:S. p(x, w), built as the parser
         # rejects shadowing: only the first m reads the free x

@@ -13,8 +13,8 @@ draws (the ``sampler`` kind); the finite kinds reject them at load time.
 
 Each symbol is resolved once per node, by one resolver (``compile_*``):
 a table symbol becomes one lookup closure, a builtin the row function of
-its registry entry, whose arity is checked then, against the node's
-argument count.  Table coverage is checked lazily, at application time.
+its registry entry, its arity checked against the node's argument count
+and, for a stochastic one, its monad bound.  Table rows are checked as they apply.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from . import effects
@@ -56,7 +57,6 @@ class UniformDensity:
 class NormalDensity:
     mu: float
     sigma: float
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,7 @@ class RealIntervalDomain:
         if isinstance(self.density, UniformDensity):
             return self.lo + key.uniform(0) * (self.hi - self.lo)
         d = self.density
-        if not d.truncated:
-            return key.normal(d.mu, d.sigma)
-        for attempt in range(1000):  # rejection against the interval
+        for attempt in range(1000):  # rejection; an unbounded interval takes the first
             x = key.normal(d.mu, d.sigma, index=attempt)
             if self.lo <= x <= self.hi:
                 return x
@@ -326,27 +324,23 @@ def apply_predicate(interp: Interpretation, name: str, args) -> bool:
     return compile_predicate(interp, name, len(args))(args)
 
 
-def _builtin_stochastic(name: str, args, monad: Monad) -> effects.Computation:
-    """The computation of the stochastic builtin ``name`` on one row's arguments."""
-    return _BUILTIN_STOCH[name][-1](args, monad)
+def _computational(interp: Interpretation, name: str):
+    return interp.mfuncs.get(name) or interp.mpreds.get(name)
 
 
 def compile_computational(interp: Interpretation, name: str, n_args: int):
     """Resolve a computational symbol once, for ``n_args`` arguments;
     returns a callable producing a computation of the interpretation's
-    monad kind per argument tuple."""
-    impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
+    monad kind per argument tuple (a builtin's row with the monad bound)."""
+    impl = _computational(interp, name)
     monad = effects.monad(interp.kind)
     run = _resolve("computational symbol", name, impl, n_args, _BUILTIN_STOCH, monad.row)
-    if isinstance(impl, BuiltinStoch):  # each row through the per-call entry
-        bname = impl.name
-        return lambda args: _builtin_stochastic(bname, args, monad)
-    return run
+    return partial(run, monad=monad) if isinstance(impl, BuiltinStoch) else run
 
 
 def computational_fact(interp: Interpretation, name: str) -> Optional[str]:
     """The value fact of the outcomes of a resolved computational symbol."""
-    impl = interp.mfuncs.get(name) or interp.mpreds.get(name)
+    impl = _computational(interp, name)
     if isinstance(impl, BuiltinStoch):
         return _BUILTIN_STOCH[impl.name][1]
     return impl.fact(effects.monad(interp.kind))
@@ -489,8 +483,7 @@ def _load_domain(name: str, spec, monad: Monad) -> Domain:
                 raise SchemaError(f"sort {name!r}: normal density needs finite mu and sigma")
             if sigma <= 0:
                 raise SchemaError(f"sort {name!r}: normal density needs sigma > 0")
-            truncated = math.isfinite(lo) or math.isfinite(hi)
-            return RealIntervalDomain(lo, hi, NormalDensity(mu, sigma, truncated))
+            return RealIntervalDomain(lo, hi, NormalDensity(mu, sigma))
         raise SchemaError(f"sort {name!r}: unknown density {dkind!r}")
     raise SchemaError(f"sort {name!r}: unknown domain kind {kind!r}")
 
@@ -652,7 +645,8 @@ def _dump_domain(domain: Domain) -> dict:
         return out
     if isinstance(domain, IntRangeDomain):
         return {"kind": "int_range", "lo": domain.lo, "hi": domain.hi}
-    out = {"kind": "real_interval", "lo": domain.lo, "hi": domain.hi}
+    lo, hi = (b if math.isfinite(b) else None for b in (domain.lo, domain.hi))  # JSON has no infinity
+    out = {"kind": "real_interval", "lo": lo, "hi": hi}
     if isinstance(domain.density, UniformDensity):
         out["density"] = {"kind": "uniform"}
     elif isinstance(domain.density, NormalDensity):

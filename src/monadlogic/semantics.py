@@ -34,9 +34,10 @@ non-empty sets, finite distributions), one draw at child 0 of the row's
 state under the sampler; the run's body runs once on the last bind's
 rows, and the monad ``fold``s the values back into one per row: the
 single outcome, the union of members, the expectation in support order,
-or the draw itself.  The exact kinds sweep forward, numbering the
-distinct rows of each bind on its *frontier* (the variables the rest of
-the run reads), then fold backward; the sampler only goes forward.  A
+or the draw itself.  One loop serves every monad: it sweeps forward,
+numbering under the exact kinds the distinct rows of each bind on its
+*frontier* (the variables the rest of the run reads), then folds
+backward, which gives the sampler's draws back unchanged.  A
 computational atom ends a run, its body embedding each outcome as a
 truth value.  A quantifier extends each row by every element of its
 family and hands the body's values, a row of items per row, to the
@@ -280,9 +281,10 @@ def compile_formula(
 
     def comp_run(f, key, distinct_on):
         """A maximal run of binds ``[v1 := c1(a1)] ... [vk := ck(ak)] B``,
-        each the body of the one before, in one loop.  A computational atom
-        ends a run with a body that embeds each outcome; it draws at the
-        row's own state, where a bind draws at child 0, its body at child 1."""
+        each the body of the one before, in one loop for every monad.  A
+        computational atom ends a run with a body that embeds each outcome;
+        it draws at the row's own state, where a bind draws at child 0, its
+        body at child 1."""
         draws, bound = monad.draws, []
         while isinstance(f, (syntax.Bind, syntax.MAtom, syntax.MProp)):
             if isinstance(f, syntax.Bind):
@@ -321,47 +323,37 @@ def compile_formula(
             levels.append((var, lookup, tuple(rest), body_draws, frontier))
             if var is not _OUTCOME:
                 facts[var] = shadowed
-            free, body_draws = level_free, True
+            free, body_draws = level_free, draws
         levels.reverse()
         expand, fold, pin = monad.expand, monad.fold, alg.pin
+        table = None if draws or _covers(free, distinct_on) else _Table(free, facts)
 
-        def draw_fn(cols, n, states):
-            if not n:
-                return []
-            if states is None:
-                levels[0][1](cols, n)
-                return [None] * n  # no draws: only the outer computations are built
-            for var, lookup, names, body_draws, _ in levels:
-                own = states if var is _OUTCOME else child_states(states, 0)
-                cols = _extended(cols, names, None, var, expand(lookup(cols, n), own)[1])
-                states = child_states(states, 1) if body_draws else None
-            return body(cols, n, states)
-
-        if draws:
-            return draw_fn, True
-        table = None if _covers(free, distinct_on) else _Table(free, facts)
-
-        def sweep_fn(cols, n, states):
+        def run_fn(cols, n, states):
             if table is not None:
                 keys, new, cols = table.new_rows(cols, n)
                 n = len(new)
             out = []
             if n:
-                # forward: number each level's distinct frontier rows
+                if draws and states is None:
+                    levels[0][1](cols, n)
+                    return [None] * n  # no draws: only the outer computations are built
+                # forward: expand each level, numbering its distinct frontier rows
                 passes = []
-                for var, lookup, names, _, frontier in levels:
-                    rows, column = expand(lookup(cols, n), None)
+                for var, lookup, names, body_draws, frontier in levels:
+                    own = states if states is None or var is _OUTCOME else child_states(states, 0)
+                    rows, column = expand(lookup(cols, n), own)
                     cols, n, nums = _extended(cols, names, rows, var, column), len(column), None
                     if frontier is not None:
                         nums, cols, n = frontier.numbered(cols, n)
                     passes.append((rows, nums))
-                out = body(cols, n, None)
+                    states = child_states(states, 1) if body_draws else None
+                out = body(cols, n, states)
                 # backward: fold each level's values from the next level's
                 for rows, nums in reversed(passes):
                     out = fold(rows, out if nums is None else list(map(out.__getitem__, nums)), pin)
             return out if table is None else table.spread(keys, new, out)
 
-        return sweep_fn, False
+        return run_fn, draws
 
     fn, draws = comp(f, key, None)
     names = tuple(sorted(frees[id(f)]))

@@ -440,12 +440,12 @@ class _Parser:
             self._expect(")")
         if name in self.sig.preds:
             declared = self.sig.preds[name]
-            self._check_args(name, args or [], declared)
-            return Atom(name, tuple(args)) if args else Prop(name) if not declared else Atom(name, ())
+            self._check_args(name, args, declared)
+            return Atom(name, tuple(args)) if args else Prop(name)
         if name in self.sig.mpreds:
             declared = self.sig.mpreds[name]
-            self._check_args(name, args or [], declared)
-            return MAtom(name, tuple(args)) if args else MProp(name) if not declared else MAtom(name, ())
+            self._check_args(name, args, declared)
+            return MAtom(name, tuple(args)) if args else MProp(name)
         if name in self.sig.funcs or name in self.sig.mfuncs:
             raise UnknownSymbolError(f"{name!r} is a function symbol, not a predicate")
         raise UnknownSymbolError(f"unknown predicate {name!r}")
@@ -608,8 +608,8 @@ def _level(f: Formula) -> int:
 def pretty_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Lit):
-        return repr(t.value)
+    if isinstance(t, Lit):  # an infinite float as the literal that overflows to it
+        return repr(t.value).replace("inf", "1e999") if type(t.value) is float else repr(t.value)
     if not t.args:
         return t.func
     return f"{t.func}({', '.join(pretty_term(a) for a in t.args)})"

@@ -20,7 +20,10 @@ without comparing a builtin's name against a string.
 
 A bind is one clause: a run of binds, each the body of the one before,
 compiles and evaluates in one loop, and a computational atom is a run of
-one, so ``compile_formula`` has no second bind path.
+one, so ``compile_formula`` has no second bind path.  The loop serves
+every monad, so no clause defines a second evaluation function for the
+sampler.  A stochastic builtin resolves to its registry entry's row
+function with the monad bound, not to a per-row lookup by name.
 """
 
 import ast
@@ -119,6 +122,48 @@ def test_the_guard_sees_a_second_bind_path():
         "    return f.body if isinstance(f, syntax.Bind) else f\n"
     )
     assert bind_clauses(source) == ["comp_run", "comp_atom", "_bind_fn"]
+
+
+def evaluation_functions(source):
+    """Each clause of ``compile_formula`` in ``source`` with the batch
+    functions ``(cols, n, states)`` it defines with ``def``."""
+    found = {}
+    for outer in ast.parse(textwrap.dedent(source)).body:
+        if isinstance(outer, ast.FunctionDef) and outer.name == "compile_formula":
+            for clause in outer.body:
+                if isinstance(clause, ast.FunctionDef):
+                    found[clause.name] = [
+                        n.name for n in ast.walk(clause) if isinstance(n, ast.FunctionDef)
+                        and [a.arg for a in n.args.args] == ["cols", "n", "states"]]
+    return found
+
+
+def test_each_clause_defines_one_evaluation_function():
+    found = evaluation_functions(inspect.getsource(semantics))
+    assert found["comp_run"] == ["run_fn"]
+    assert {clause: fns for clause, fns in found.items() if len(fns) > 1} == {}
+
+
+def test_the_guard_sees_a_second_evaluation_function():
+    source = (
+        "def compile_formula(f):\n"
+        "    def comp_run(f):\n"
+        "        def draw_fn(cols, n, states):\n"
+        "            return []\n"
+        "        def sweep_fn(cols, n, states):\n"
+        "            return []\n"
+        "        return draw_fn if draws else sweep_fn\n"
+    )
+    assert evaluation_functions(source) == {"comp_run": ["draw_fn", "sweep_fn"]}
+
+
+def test_a_stochastic_builtin_resolves_to_its_registry_row():
+    interp = model.Interpretation(kind=effects.SAMPLER, sorts={},
+                                  mfuncs={"m": model.BuiltinStoch("normal")})
+    run = model.compile_computational(interp, "m", 2)
+    assert run.func is model._BUILTIN_STOCH["normal"][-1]
+    assert run.keywords == {"monad": effects.monad(effects.SAMPLER)}
+    assert not hasattr(model, "_builtin_stochastic")
 
 
 def test_only_the_sampler_has_its_own_scalar_bind():

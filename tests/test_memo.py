@@ -445,9 +445,9 @@ class TestValueFacts:
         # inside the quantifier each draw of t meets every item of S, so
         # normal(t, 1) is built once per draw, not once per row
         built = []
-        stochastic = model._builtin_stochastic
-        monkeypatch.setattr(model, "_builtin_stochastic",
-                            lambda *a: built.append(a[1]) or stochastic(*a))
+        arity, fact, normal = model._BUILTIN_STOCH["normal"]
+        monkeypatch.setitem(model._BUILTIN_STOCH, "normal",
+                            (arity, fact, lambda args, monad: built.append(args) or normal(args, monad)))
         sig, interp = stochastic_system([0, 1, 2])
         f = parse_formula("[t := normal(0, 1)] forall x:S. [u := normal(t, 1)] gt(u, t)", sig)
         evaluate_sentence(f, framework(SAMPLER), interp, budget=1500, seed=2)

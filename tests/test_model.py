@@ -1,5 +1,6 @@
 """Domains, interpretations, builtins, quantifier families."""
 
+import dataclasses
 import json
 import math
 
@@ -37,7 +38,7 @@ from monadlogic.errors import (
     ParamOutOfRangeError,
     SchemaError,
 )
-from monadlogic.model import BuiltinFunc, EnumDomain, Interpretation
+from monadlogic.model import BuiltinFunc, EnumDomain, Interpretation, NormalDensity, RealIntervalDomain
 from monadlogic.semantics import compile_formula
 from monadlogic.syntax import App, Atom, Lit
 
@@ -338,6 +339,12 @@ class TestBuiltins:
         with pytest.raises(MissingTableRowError):
             apply_function(interp, "tab", [1])
 
+    def test_division(self, interp):
+        assert apply_function(interp, "div", [1, 4]) == 0.25
+        f = Atom("eq", (App("div", (Lit(6), Lit(3)), "S"), Lit(2)))
+        fw = make_framework(IDENTITY, make_algebra("boolean"))
+        assert compile_formula(f, fw, interp)({}) is True
+
     def test_division_by_zero(self, interp):
         with pytest.raises(DivisionByZeroError):
             apply_function(interp, "div", [1, 0])
@@ -556,12 +563,23 @@ class TestDensities:
         fam = quantifier_family(interp, "S", budget=1000, key=RandomKey(3))
         assert all(-0.8e308 <= v <= 0.8e308 for v in fam.values)
 
+    def test_a_normal_density_samples_inside_its_bounds(self):
+        # the interval's bounds alone decide the truncation
+        assert [f.name for f in dataclasses.fields(NormalDensity)] == ["mu", "sigma"]
+        domain = RealIntervalDomain(0.0, 1.0, NormalDensity(0.0, 1.0))
+        interp = Interpretation(kind=SAMPLER, sorts={"U": domain})
+        fam = quantifier_family(interp, "U", budget=1000, key=RandomKey(3))
+        assert all(0.0 <= v <= 1.0 for v in fam.values)
+
     def test_unbounded_normal_allowed(self, weather):
         sig, doc = weather
         interp = load_interpretation(doc, sig, SAMPLER)
         domain = interp.sorts["Num"]
         assert domain.lo == -math.inf and domain.hi == math.inf
-        assert not domain.density.truncated
+        # an unbounded interval keeps every first draw: the plain normal
+        mu, sigma, key = domain.density.mu, domain.density.sigma, RandomKey(5)
+        fam = quantifier_family(interp, "Num", budget=200, key=key)
+        assert list(fam.values) == [key.child(i).normal(mu, sigma) for i in range(200)]
 
 
 class TestDump:
@@ -572,3 +590,55 @@ class TestDump:
         again = load_interpretation(doc2, sig, DISTRIBUTION)
         assert again.mfuncs["drive"].rows == interp.mfuncs["drive"].rows
         assert again.funcs["red"].rows == interp.funcs["red"].rows
+
+    def test_strict_json_round_trip(self):
+        # every domain form, builtins in all four sections and a
+        # distribution ctable; unbounded interval sides dump as null
+        sig = parse_signature(json.dumps({
+            "sorts": ["E", "M", "W", "I", "U", "B", "R"],
+            "funcs": {"plus": {"args": ["I", "I"], "result": "I"}},
+            "mfuncs": {"draw": {"args": ["R", "R"], "result": "R"},
+                       "pick": {"args": ["E"], "result": "E"}},
+            "preds": {"less": {"args": ["R", "R"]}},
+            "mpreds": {"coin": {"args": ["R"]}},
+        }))
+        doc = {
+            "sorts": {
+                "E": {"kind": "enum", "values": ["a", "b", 1.5, False]},
+                "M": {"kind": "enum", "values": [1, 2], "weights": "mean"},
+                "W": {"kind": "enum", "values": [0, "x"], "weights": {"0": 0.25, "x": 0.75}},
+                "I": {"kind": "int_range", "lo": -2, "hi": 3},
+                "U": {"kind": "real_interval", "lo": 0.0, "hi": 2.5, "density": {"kind": "uniform"}},
+                "B": {"kind": "real_interval", "lo": -1.0, "hi": 1.0,
+                      "density": {"kind": "normal", "mu": 0.5, "sigma": 2.0}},
+                "R": {"kind": "real_interval", "lo": None, "hi": "inf",
+                      "density": {"kind": "normal", "mu": 0.0, "sigma": 1.0}},
+            },
+            "funcs": {"plus": {"kind": "builtin", "name": "add"}},
+            "mfuncs": {"draw": {"kind": "builtin", "name": "normal"},
+                       "pick": {"kind": "ctable", "rows": [["a", [["b", 0.5], [1.5, 0.5]]],
+                                                          [False, [["a", 1.0]]]]}},
+            "preds": {"less": {"kind": "builtin", "name": "lt"}},
+            "mpreds": {"coin": {"kind": "builtin", "name": "bernoulli"}},
+        }
+        interp = load_interpretation(doc, sig, SAMPLER)
+        text = json.dumps(dump_interpretation(interp), allow_nan=False)
+        again = load_interpretation(text, sig, SAMPLER)
+        assert again == interp
+        assert json.loads(text)["sorts"]["R"] == {"kind": "real_interval", "lo": None, "hi": None,
+                                                  "density": {"kind": "normal", "mu": 0.0, "sigma": 1.0}}
+
+    def test_identity_ctable_round_trip(self):
+        sig = parse_signature(json.dumps({
+            "sorts": ["S"],
+            "mfuncs": {"m": {"args": ["S"], "result": "S"}},
+            "preds": {"eq": {"args": ["S", "S"]}},
+        }))
+        doc = {
+            "sorts": {"S": {"kind": "enum", "values": [0, 1, "z"]}},
+            "mfuncs": {"m": {"kind": "ctable", "rows": [[0, [1]], [1, ["z"]], ["z", [[0, 1.0]]]]}},
+            "preds": {"eq": {"kind": "builtin", "name": "eq"}},
+        }
+        interp = load_interpretation(doc, sig, IDENTITY)
+        again = load_interpretation(json.dumps(dump_interpretation(interp), allow_nan=False), sig, IDENTITY)
+        assert again == interp and again.mfuncs["m"].rows == {(0,): 1, (1,): "z", ("z",): 0}

@@ -372,6 +372,15 @@ class TestNumbers:
         assert f.args[0] == Lit(-3) and f.args[1] == Lit(0.2)
         assert parse_formula(pretty(f), sig) == f
 
+    def test_overflowing_literals_round_trip(self):
+        sig = parse_signature(
+            json.dumps({"sorts": ["S"], "preds": {"lt": {"args": ["S", "S"]}}})
+        )
+        f = parse_formula("forall x:S. lt(x, 1e999) & lt(-1e999, x)", sig)
+        assert f.body.left.args[1] == Lit(float("inf")) and f.body.right.args[0] == Lit(float("-inf"))
+        assert pretty(f) == "forall x:S. lt(x, 1e999) & lt(-1e999, x)"
+        assert parse_formula(pretty(f), sig) == f
+
 
 class TestNullaryNormalization:
     def test_explicit_parens_normalize_to_propositional_form(self):

@@ -9,6 +9,7 @@ from monadlogic import (
     DISTRIBUTION,
     IDENTITY,
     NONEMPTY_SET,
+    SAMPLER,
     LP3,
     TransformSpec,
     argmax_interpretation,
@@ -26,6 +27,7 @@ from monadlogic import (
 from monadlogic.errors import (
     ContinuousUnsupportedError,
     CyclicParentsError,
+    FiniteOnlyError,
     KindMismatchError,
     SchemaError,
     UnknownVariableError,
@@ -269,6 +271,41 @@ class TestWmc:
         value = evaluate_sentence(built, dist_framework(), interp2).value
         oracle = wmc_bruteforce(network, interp2, f)
         assert abs(value - oracle) <= 1e-9
+
+    def test_bruteforce_over_an_int_range(self):
+        sig = parse_signature(json.dumps({"sorts": ["N"], "preds": {"eq": {"args": ["N", "N"]}}}))
+        doc = {
+            "sorts": {"N": {"kind": "int_range", "lo": 0, "hi": 2}},
+            "preds": {"eq": {"kind": "builtin", "name": "eq"}},
+            "network": {
+                "vars": [
+                    {"name": "a", "sort": "N", "parents": [], "rows": [[[[0, 0.2], [1, 0.3], [2, 0.5]]]]},
+                    {"name": "b", "sort": "N", "parents": ["a"],
+                     "rows": [
+                         [0, [[2, 0.5], [0, 0.5]]],
+                         [1, [[2, 0.5], [1, 0.5]]],
+                         [2, [[2, 0.8], [0, 0.1], [1, 0.1]]],
+                     ]},
+                ]
+            },
+        }
+        network, sig2, interp2 = load_network(doc, sig, load_interpretation(doc, sig, DISTRIBUTION))
+        f = parse_formula("eq(b, 2)", sig2, free=network.free)
+        oracle = wmc_bruteforce(network, interp2, f)
+        assert abs(oracle - (0.2 * 0.5 + 0.3 * 0.5 + 0.5 * 0.8)) <= 1e-12
+        assert abs(evaluate_sentence(wmc_build(network, f), dist_framework(), interp2).value - oracle) <= 1e-12
+
+    def test_bruteforce_needs_finite_sorts(self):
+        sig = parse_signature(json.dumps({"sorts": ["R"], "preds": {"eq": {"args": ["R", "R"]}}}))
+        doc = {
+            "sorts": {"R": {"kind": "real_interval", "lo": 0.0, "hi": 1.0, "density": {"kind": "uniform"}}},
+            "preds": {"eq": {"kind": "builtin", "name": "eq"}},
+            "network": {"vars": [{"name": "r", "sort": "R", "parents": [], "rows": [[[[0.5, 1.0]]]]}]},
+        }
+        network, sig2, interp2 = load_network(doc, sig, load_interpretation(doc, sig, SAMPLER))
+        f = parse_formula("eq(r, 0.5)", sig2, free=network.free)
+        with pytest.raises(FiniteOnlyError, match="'R'"):
+            wmc_bruteforce(network, interp2, f)
 
     def test_bruteforce_compiles_the_query_once(self, demo_network, monkeypatch):
         network, sig2, interp2 = demo_network
